@@ -8,12 +8,14 @@ accumulates gradients into ``requires_grad`` leaves. The tape is released after
 the walk; leaf ``.grad`` buffers accumulate across calls until zeroed.
 
 A tape belongs to one logical thread. ``no_grad`` disables recording (used for
-validation and inference).
+validation and inference) for the calling thread only, so worker threads that
+decode under ``no_grad`` never switch recording off for another thread.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +24,23 @@ from scipy.special import erf
 
 from .errors import ConfigError, ShapeError
 
-_GRAD_ENABLED = True
+
+# Tape-recording switch. A context variable, so each thread has its own: a
+# thread starts with recording on whatever other threads do.
+_RECORDING: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "tokencast_recording", default=True)
+
+
+class _GradMode:
+    """True while the calling thread records a tape. Read from outside the
+    module as ``_GRAD_ENABLED``: perfbench counts operations that leave
+    recording off."""
+
+    def __bool__(self) -> bool:
+        return _RECORDING.get()
+
+
+_GRAD_ENABLED = _GradMode()
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -30,14 +48,13 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (forward-only evaluation)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable tape recording in this thread inside the block (forward-only
+    evaluation); other threads keep their own mode."""
+    token = _RECORDING.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _RECORDING.reset(token)
 
 
 class Tensor:
@@ -78,7 +95,7 @@ def _as_tensor(x) -> Tensor:
 def _node(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     """Interior tape node; records the closure only when a parent needs grad."""
     out = Tensor(values)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _RECORDING.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn

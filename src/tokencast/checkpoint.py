@@ -11,7 +11,9 @@ where the config block is UTF-8 ``key=value`` lines (model fields plus
     u16 name length | name UTF-8 | u8 scope (0 non-head, 1 head) | u8 rank
     | u32 per dimension | float64 row-major values
 
-Arrays are ordered by name; save -> load round-trips bit-exactly.
+Arrays are ordered by name; save -> load round-trips bit-exactly. Loading
+validates the config and requires exactly the arrays, shapes and scopes that
+it implies (``model.parameter_layout``).
 """
 
 from __future__ import annotations
@@ -23,8 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointFormatError, CheckpointVersionError
-from .model import SCOPE_HEAD, SCOPE_NON_HEAD, ModelConfig, ModelParams, params_from_arrays
+from .errors import CheckpointFormatError, CheckpointVersionError, DataError
+from .model import (
+    SCOPE_HEAD,
+    SCOPE_NON_HEAD,
+    ModelConfig,
+    ModelParams,
+    parameter_layout,
+    params_from_arrays,
+)
 
 MAGIC = b"GPHT"
 VERSION = 1
@@ -101,9 +110,34 @@ def _decode_config_block(block: bytes) -> tuple[ModelConfig, dict[str, str]]:
             dropout_rate=float(fields["dropout_rate"]),
             seed=int(fields["seed"]),
         )
+        config.validate()
     except (KeyError, ValueError) as exc:
         raise CheckpointFormatError(f"invalid config block: {exc}") from exc
     return config, metadata
+
+
+def _check_arrays(config: ModelConfig, arrays: dict[str, np.ndarray],
+                  scopes: dict[str, str]) -> None:
+    """Require exactly the arrays, shapes and scopes the config implies."""
+    expected = {name: (shape, scope) for name, shape, scope in parameter_layout(config)}
+    missing = sorted(set(expected) - set(arrays))
+    unexpected = sorted(set(arrays) - set(expected))
+    if missing or unexpected:
+        raise CheckpointFormatError(
+            f"arrays disagree with the config: missing {missing[:3]}"
+            f"{' ...' if len(missing) > 3 else ''}, unexpected {unexpected[:3]}"
+            f"{' ...' if len(unexpected) > 3 else ''}"
+        )
+    for name, (shape, scope) in expected.items():
+        if arrays[name].shape != shape:
+            raise CheckpointFormatError(
+                f"array {name} has shape {arrays[name].shape}, the config "
+                f"implies {shape}"
+            )
+        if scopes[name] != scope:
+            raise CheckpointFormatError(
+                f"array {name} has scope {scopes[name]}, the config implies {scope}"
+            )
 
 
 def serialize(ckpt: Checkpoint) -> bytes:
@@ -182,6 +216,7 @@ def deserialize(data: bytes) -> Checkpoint:
         raise CheckpointFormatError(
             f"{len(data) - r.offset} trailing bytes at offset {r.offset}"
         )
+    _check_arrays(config, arrays, scopes)
     return Checkpoint(config=config, arrays=arrays, scopes=scopes,
                       metadata=metadata, version=version)
 
@@ -192,8 +227,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        return deserialize(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    return deserialize(data)
 
 
 def checkpoint_hash(ckpt: Checkpoint) -> str:

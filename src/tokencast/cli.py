@@ -3,7 +3,7 @@
 Commands: pretrain, finetune, forecast, evaluate, synth, inspect.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric abort,
 5 protocol violation. Runs are reproducible: identical config, seed and
-inputs give identical output bytes at --threads 1.
+inputs give identical output bytes at any --threads count.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override every configured seed")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for window evaluation "
-                             "(determinism guaranteed only at 1)")
+                             "(reports are bit-identical at any count)")
     parser.add_argument("--force", action="store_true",
                         help="allow writing into a non-empty output directory")
     parser.add_argument("--preset", default=None,

@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .checkpoint import Checkpoint, checkpoint_hash, to_params
 from .data import DatasetSplit, MultivariateSeries, build_mixed_dataset
@@ -68,19 +69,35 @@ def naive_baselines(
     return persistence, season[..., idx]
 
 
-def _window_origins(split_range, lookback_len: int, horizon: int, stride: int) -> list[int]:
-    lo, hi = split_range
-    return list(range(lo + lookback_len, hi - horizon + 1, stride))
-
-
-def _model_forecast_fn(ckpt: Checkpoint):
+def _model_decoder(ckpt: Checkpoint):
     params = to_params(ckpt)
 
-    def fn(lookbacks: np.ndarray, horizon: int) -> np.ndarray:
-        preds, _, _, _ = _decode_batch(params, lookbacks, horizon)
+    def decode(lookbacks: np.ndarray, row_horizons: np.ndarray) -> np.ndarray:
+        horizon = int(row_horizons.max())
+        preds, _, _, _ = _decode_batch(params, lookbacks, horizon,
+                                       horizons=row_horizons)
         return preds
 
-    return fn
+    return decode
+
+
+def _grouped_decoder(forecast_fn):
+    """Serve per-row horizons with one forecast_fn call per distinct horizon."""
+
+    def decode(lookbacks: np.ndarray, row_horizons: np.ndarray) -> np.ndarray:
+        preds = np.full((len(row_horizons), row_horizons.max()), np.nan)
+        for horizon in np.unique(row_horizons):
+            rows = row_horizons == horizon
+            out = np.asarray(forecast_fn(lookbacks[rows], int(horizon)))
+            if out.shape != (np.count_nonzero(rows), horizon):
+                raise ShapeError(
+                    f"forecast_fn returned {out.shape} for "
+                    f"{np.count_nonzero(rows)} lookbacks at horizon {horizon}"
+                )
+            preds[rows, :horizon] = out
+        return preds
+
+    return decode
 
 
 def evaluate(
@@ -95,49 +112,81 @@ def evaluate(
 ) -> EvalReport:
     """Score stride-spaced test windows at each horizon.
 
-    Windows live entirely inside the test range. ``forecast_fn`` overrides the
-    checkpoint model (signature: (M, L) lookbacks, horizon -> (M, horizon));
-    results are deterministic and row-independent, so ``threads`` only splits
-    work.
+    Windows live entirely inside the test range. All horizons share the first
+    origin and the stride, so each (origin, channel) row is decoded once, to
+    the longest horizon it is scored at, and every shorter horizon is scored
+    on a prefix of that forecast. ``forecast_fn`` overrides the checkpoint
+    model (signature: (M, L) lookbacks, horizon -> (M, horizon)); it is called
+    once per distinct decode length with the rows that need that length, and
+    its forecast at H must be the first H points of its forecast at any longer
+    horizon, as it is for auto-regressive decoding and the naive baselines.
+    Results are deterministic and row-independent, so ``threads`` only splits
+    work: reports are bit-identical at any thread count.
     """
     if not horizons:
         raise ConfigError("need at least one horizon")
+    if min(horizons) < 1:
+        raise ConfigError(f"horizons must be >= 1, got {sorted(horizons)}")
+    if stride < 1:
+        raise ConfigError(f"stride must be >= 1, got {stride}")
     if forecast_fn is None:
         if ckpt is None:
             raise ConfigError("evaluate needs a checkpoint or a forecast_fn")
-        forecast_fn = _model_forecast_fn(ckpt)
+        decode = _model_decoder(ckpt)
+    else:
+        decode = _grouped_decoder(forecast_fn)
     lo, hi = split.test
     available = hi - lo
-    needed = lookback_len + max(horizons)
+    longest = max(horizons)
+    needed = lookback_len + longest
     if available < needed:
         raise ConfigError(
             f"test range of {series.name} too short: need {needed} points "
-            f"(lookback {lookback_len} + horizon {max(horizons)}), have {available}"
+            f"(lookback {lookback_len} + horizon {longest}), have {available}"
         )
+
+    # origins lo + L + i * stride for i < count[h]; every horizon's origins
+    # are a prefix of the shortest horizon's, so each origin is decoded to the
+    # longest horizon whose origins include it, and that length never rises
+    # with i
+    count = {h: len(range(lo + lookback_len, hi - h + 1, stride)) for h in horizons}
+    origin_horizon = np.zeros(max(count.values()), dtype=np.int64)
+    for h in sorted(count):
+        origin_horizon[:count[h]] = h
+    channels = series.num_channels
+    row_horizons = np.repeat(origin_horizon, channels)  # origin-major rows
+
+    # one (lookback + longest horizon) window per row, NaN-padded past the
+    # end of the test range; each row is scored only up to its own horizon
+    pad = (len(origin_horizon) - 1) * stride + needed - available
+    segment = np.pad(series.values[:, lo:hi], ((0, 0), (0, max(pad, 0))),
+                     constant_values=np.nan)
+    windows = sliding_window_view(segment, needed, axis=-1)[:, ::stride][:, :len(origin_horizon)]
+    windows = windows.transpose(1, 0, 2).reshape(-1, needed)
+    lookbacks, truth = windows[:, :lookback_len], windows[:, lookback_len:]
+
+    if threads > 1 and len(windows) > 1:
+        # worker k decodes rows k, k + threads, ...: every chunk stays
+        # longest-first and gets an equal share of the long rows
+        workers = min(threads, len(windows))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(
+                lambda k: decode(lookbacks[k::threads], row_horizons[k::threads]),
+                range(workers),
+            ))
+        preds = np.full(truth.shape, np.nan)
+        for k, part in enumerate(parts):
+            preds[k::threads, :part.shape[1]] = part
+    else:
+        preds = decode(lookbacks, row_horizons)
 
     rows: list[EvalRow] = []
     for horizon in sorted(horizons):
-        origins = _window_origins(split.test, lookback_len, horizon, stride)
-        lookbacks = np.concatenate(
-            [series.values[:, t - lookback_len:t] for t in origins], axis=0
-        )
-        truth = np.concatenate(
-            [series.values[:, t:t + horizon] for t in origins], axis=0
-        )
-        if threads > 1 and lookbacks.shape[0] > 1:
-            chunks = np.array_split(np.arange(lookbacks.shape[0]), threads)
-            chunks = [c for c in chunks if c.size]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(
-                    lambda idx: forecast_fn(lookbacks[idx], horizon), chunks
-                ))
-            preds = np.concatenate(parts, axis=0)
-        else:
-            preds = forecast_fn(lookbacks, horizon)
-        mse_v, mae_v = metrics(preds, truth)
+        scored = count[horizon] * channels
+        mse_v, mae_v = metrics(preds[:scored, :horizon], truth[:scored, :horizon])
         rows.append(EvalRow(
             dataset=series.name, horizon=horizon,
-            mse=mse_v, mae=mae_v, windows=len(origins),
+            mse=mse_v, mae=mae_v, windows=count[horizon],
         ))
     fingerprint = checkpoint_hash(ckpt)[:16] if ckpt is not None else "custom"
     return EvalReport(rows=rows, fingerprint=fingerprint)

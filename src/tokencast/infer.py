@@ -4,9 +4,12 @@ Each channel decodes independently, entirely in normalized space: the
 lookback is standardized once, the model repeatedly predicts the token after
 the most recent (at most max_tokens) context tokens, and the generated tokens
 are concatenated, truncated to the horizon, and mapped back to series units
-with the original stats. Forecasts are bit-invariant to lookback content
-older than max_tokens * token_len points because both the context window and
-the normalization statistics come from that suffix alone.
+with the original stats. A forecast at horizon H is therefore the first H
+points of the forecast at any longer horizon, which lets one batch serve rows
+of different horizons: each row retires once its own horizon is decoded.
+Forecasts are bit-invariant to lookback content older than
+max_tokens * token_len points because both the context window and the
+normalization statistics come from that suffix alone.
 """
 
 from __future__ import annotations
@@ -42,17 +45,22 @@ def context_window(tokens: np.ndarray, max_tokens: int) -> np.ndarray:
 
 
 def _decode_batch(params: ModelParams, lookbacks: np.ndarray, horizon: int,
-                  eps: float = DEFAULT_EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+                  eps: float = DEFAULT_EPS, *, horizons: np.ndarray | None = None,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Decode a (N, L) batch of univariate lookbacks to (N, horizon).
 
     Rows are independent: every kernel is row-local, so batched decoding is
-    bit-identical to one-at-a-time decoding.
+    bit-identical to one-at-a-time decoding. ``horizons`` optionally gives
+    each row its own horizon, the longest of them equal to ``horizon``: a row
+    retires from the batch once its own horizon is decoded, so later steps
+    run on fewer rows, and its output past its own horizon is NaN. The
+    returned step count is the longest row's.
     """
     cfg = params.config
     t_len = cfg.token_len
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    length = lookbacks.shape[-1]
+    rows, length = lookbacks.shape
     if length < t_len:
         raise InputTooShortError(
             f"lookback of {length} points is shorter than one token ({t_len})"
@@ -65,19 +73,36 @@ def _decode_batch(params: ModelParams, lookbacks: np.ndarray, horizon: int,
     effective = lookbacks[..., length - num_tokens * t_len:]
     mu = effective.mean(axis=-1, keepdims=True)
     scale = effective.std(axis=-1, keepdims=True) + eps
-    ctx = ((effective - mu) / scale).reshape(lookbacks.shape[0], num_tokens, t_len)
+    ctx = ((effective - mu) / scale).reshape(rows, num_tokens, t_len)
 
     steps = math.ceil(horizon / t_len)
-    generated = []
+    active = [rows] * steps  # rows still decoding at each step
+    if horizons is not None:
+        horizons = np.asarray(horizons)
+        if (horizons.shape != (rows,) or horizons.min(initial=1) < 1
+                or horizons.max(initial=0) != horizon):
+            raise ConfigError(
+                f"per-row horizons must be {rows} values in [1, {horizon}] "
+                f"reaching {horizon}"
+            )
+        # longest rows first, so the rows still decoding are always a prefix
+        order = np.argsort(-horizons, kind="stable")
+        ctx = ctx[order]
+        row_steps = -(-horizons[order] // t_len)
+        active = [int(np.count_nonzero(row_steps > s)) for s in range(steps)]
+    decoded = np.full((rows, steps * t_len), np.nan)
     with no_grad():
-        for _ in range(steps):
+        for s, n in enumerate(active):
+            ctx = ctx[:n]
             window = context_window(ctx, cfg.max_tokens)
             out = model_forward(params, Tensor(window))
             next_token = out.prediction.values[..., -1:, :]
-            generated.append(next_token[..., 0, :])
+            decoded[:n, s * t_len:(s + 1) * t_len] = next_token[..., 0, :]
             ctx = np.concatenate([ctx, next_token], axis=-2)
-    flat = np.concatenate(generated, axis=-1)[..., :horizon]
-    return flat * scale + mu, mu[..., 0], scale[..., 0], steps
+    if horizons is not None:
+        decoded[order] = decoded.copy()
+        decoded[np.arange(steps * t_len) >= horizons[:, None]] = np.nan
+    return decoded[:, :horizon] * scale + mu, mu[..., 0], scale[..., 0], steps
 
 
 def ar_forecast(params: ModelParams, request: ForecastRequest) -> ForecastResult:

@@ -132,48 +132,65 @@ def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_model(config: ModelConfig) -> ModelParams:
-    """Allocate and initialize all stage parameters, deterministic from seed.
-
-    Weights use scaled-uniform init (bound 1/sqrt(fan_in)), biases start at
-    zero, position tables at normal(0, 0.02).
-    """
-    config.validate()
-    rng = np.random.default_rng(config.seed)
+def parameter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, scope) of every parameter array the config implies, in
+    initialization order."""
     d = config.model_width
     f = config.feedforward_width
-    arrays: dict[str, Tensor] = {}
-    scopes: dict[str, str] = {}
+    layout = []
 
-    def put(name: str, values: np.ndarray, scope: str = SCOPE_NON_HEAD) -> None:
-        arrays[name] = Tensor(values, requires_grad=True)
-        scopes[name] = scope
+    def put(name: str, shape: tuple[int, ...], scope: str = SCOPE_NON_HEAD) -> None:
+        layout.append((name, shape, scope))
 
     for i, k in enumerate(config.pool_kernels):
         pooled_len = config.token_len // k
         pre = f"stage{i}."
-        put(pre + "embed.weight", _uniform(rng, pooled_len, (pooled_len, d)))
-        put(pre + "embed.bias", np.zeros(d))
-        put(pre + "pos_table", rng.normal(0.0, 0.02, size=(config.max_tokens, d)))
+        put(pre + "embed.weight", (pooled_len, d))
+        put(pre + "embed.bias", (d,))
+        put(pre + "pos_table", (config.max_tokens, d))
         for l in range(config.layers_per_stage):
             lp = f"{pre}layer{l}."
-            put(lp + "ln1.gain", np.ones(d))
-            put(lp + "ln1.bias", np.zeros(d))
+            put(lp + "ln1.gain", (d,))
+            put(lp + "ln1.bias", (d,))
             for proj in ("wq", "wk", "wv", "wo"):
-                put(lp + f"attn.{proj}", _uniform(rng, d, (d, d)))
+                put(lp + f"attn.{proj}", (d, d))
             for b in ("bq", "bk", "bv", "bo"):
-                put(lp + f"attn.{b}", np.zeros(d))
-            put(lp + "ln2.gain", np.ones(d))
-            put(lp + "ln2.bias", np.zeros(d))
-            put(lp + "ff.w1", _uniform(rng, d, (d, f)))
-            put(lp + "ff.b1", np.zeros(f))
-            put(lp + "ff.w2", _uniform(rng, f, (f, d)))
-            put(lp + "ff.b2", np.zeros(d))
-        put(pre + "final_ln.gain", np.ones(d))
-        put(pre + "final_ln.bias", np.zeros(d))
-        put(pre + "head.weight", _uniform(rng, d, (d, pooled_len)), SCOPE_HEAD)
-        put(pre + "head.bias", np.zeros(pooled_len), SCOPE_HEAD)
+                put(lp + f"attn.{b}", (d,))
+            put(lp + "ln2.gain", (d,))
+            put(lp + "ln2.bias", (d,))
+            put(lp + "ff.w1", (d, f))
+            put(lp + "ff.b1", (f,))
+            put(lp + "ff.w2", (f, d))
+            put(lp + "ff.b2", (d,))
+        put(pre + "final_ln.gain", (d,))
+        put(pre + "final_ln.bias", (d,))
+        put(pre + "head.weight", (d, pooled_len), SCOPE_HEAD)
+        put(pre + "head.bias", (pooled_len,), SCOPE_HEAD)
+    return layout
 
+
+def init_model(config: ModelConfig) -> ModelParams:
+    """Allocate and initialize all stage parameters, deterministic from seed.
+
+    Weight matrices use scaled-uniform init (bound 1/sqrt(fan_in), fan_in
+    being the first dimension), biases start at zero, layer-norm gains at
+    one, position tables at normal(0, 0.02).
+    """
+    config.validate()
+    rng = np.random.default_rng(config.seed)
+    arrays: dict[str, Tensor] = {}
+    scopes: dict[str, str] = {}
+    for name, shape, scope in parameter_layout(config):
+        if name.endswith("pos_table"):
+            values = rng.normal(0.0, 0.02, size=shape)
+        elif len(shape) == 2:
+            values = _uniform(rng, shape[0], shape)
+        elif name.endswith(".gain"):
+            values = np.ones(shape)
+        else:
+            values = np.zeros(shape)
+        arrays[name] = Tensor(values, requires_grad=True)
+        scopes[name] = scope
     return ModelParams(config=config, arrays=arrays, scopes=scopes)
 
 

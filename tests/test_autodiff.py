@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -255,6 +258,43 @@ class TestBackward:
             out = mul(x, x)
         assert not out.requires_grad
         assert out._backward_fn is None
+
+    def test_no_grad_is_per_thread(self):
+        # more threads than cores and a short switch interval, so threads
+        # interleave inside and outside their no_grad blocks
+        x = Tensor(np.ones((3, 3)), requires_grad=True)
+        workers = 8
+        rounds = 300
+        errors: list[str] = []
+        start = threading.Barrier(workers + 1, timeout=30)
+
+        def worker():
+            start.wait()
+            for _ in range(rounds):
+                with no_grad():
+                    if mul(x, x).requires_grad:
+                        errors.append("recorded inside no_grad")
+                if not mul(x, x).requires_grad:
+                    errors.append("worker stopped recording outside no_grad")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            start.wait()
+            while any(t.is_alive() for t in threads):
+                if not mul(x, x).requires_grad:
+                    errors.append("main thread stopped recording")
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == []
+        out = mul(x, x)
+        assert out.requires_grad and out._backward_fn is not None
 
 
 class TestAdam:

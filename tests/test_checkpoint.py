@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from tokencast.checkpoint import (
     serialize,
     to_params,
 )
-from tokencast.errors import CheckpointFormatError, CheckpointVersionError
+from tokencast.errors import CheckpointFormatError, CheckpointVersionError, DataError
 from tokencast.model import ModelConfig, init_model
 
 
@@ -80,6 +81,43 @@ class TestFormatErrors:
         path.write_bytes(data[:-9])
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
+
+
+class TestConfigAgreement:
+    def test_width_disagreeing_with_arrays(self):
+        ckpt = small_checkpoint()
+        ckpt.config = replace(ckpt.config, model_width=16)
+        with pytest.raises(CheckpointFormatError, match="shape"):
+            deserialize(serialize(ckpt))
+
+    def test_invalid_config_block(self):
+        ckpt = small_checkpoint()
+        ckpt.config = replace(ckpt.config, pool_kernels=(3, 1))
+        with pytest.raises(CheckpointFormatError, match="invalid config block"):
+            deserialize(serialize(ckpt))
+
+    def test_missing_array(self):
+        ckpt = small_checkpoint()
+        del ckpt.arrays["stage1.head.bias"]
+        with pytest.raises(CheckpointFormatError, match="missing.*stage1.head.bias"):
+            deserialize(serialize(ckpt))
+
+    def test_unexpected_array(self):
+        ckpt = small_checkpoint()
+        ckpt.arrays["stage2.head.bias"] = np.zeros(4)
+        ckpt.scopes["stage2.head.bias"] = "head"
+        with pytest.raises(CheckpointFormatError, match="unexpected.*stage2.head.bias"):
+            deserialize(serialize(ckpt))
+
+    def test_wrong_scope(self):
+        ckpt = small_checkpoint()
+        ckpt.scopes["stage0.head.weight"] = "non-head"
+        with pytest.raises(CheckpointFormatError, match="scope"):
+            deserialize(serialize(ckpt))
+
+    def test_unreadable_path(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read checkpoint"):
+            load_checkpoint(tmp_path)
 
 
 class TestWireFormat:

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tokencast.cli import main
-from tokencast.checkpoint import load_checkpoint
+from tokencast.checkpoint import from_params, load_checkpoint, save_checkpoint
 from tokencast.config import parse_components, parse_run_config
 from tokencast.data import NoiseComponent, SineComponent, TrendComponent
 from tokencast.errors import ConfigError
+from tokencast.model import ModelConfig, init_model
 
 TINY_MODEL_SECTION = """\
 [model]
@@ -300,3 +303,31 @@ class TestInspectCommand:
         assert "params.total" in text
         assert "params.head" in text
         assert "meta.train_sources = mix" in text
+
+
+class TestCheckpointValidation:
+    CONFIG = ModelConfig(num_stages=2, pool_kernels=(2, 1), token_len=4, max_tokens=3,
+                         model_width=8, layers_per_stage=1, attention_heads=2,
+                         feedforward_width=8, seed=3)
+
+    def write_checkpoint(self, tmp_path, **config_changes):
+        ckpt = from_params(init_model(self.CONFIG))
+        ckpt.config = replace(self.CONFIG, **config_changes)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        return path
+
+    def test_width_disagreeing_with_arrays_exits_3(self, tmp_path, synth_csv, capsys):
+        path = self.write_checkpoint(tmp_path, model_width=16)
+        assert main(["forecast", str(path), str(synth_csv), "4",
+                     str(tmp_path / "fc.csv")]) == 3
+        assert "shape" in capsys.readouterr().err
+        assert main(["inspect", str(path)]) == 3
+
+    def test_bad_pool_kernels_exits_3(self, tmp_path):
+        path = self.write_checkpoint(tmp_path, pool_kernels=(3, 1))
+        assert main(["inspect", str(path)]) == 3
+
+    def test_directory_as_checkpoint_exits_3(self, tmp_path, capsys):
+        assert main(["inspect", str(tmp_path)]) == 3
+        assert "cannot read checkpoint" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from tokencast.evaluate import (
     zero_shot_protocol,
 )
 from tokencast.model import ModelConfig
-from tokencast.train import TrainConfig, pretrain
+from tokencast.train import TrainConfig, finetune_heads, pretrain
 
 TINY = ModelConfig(num_stages=2, pool_kernels=(2, 1), token_len=4, max_tokens=3,
                    model_width=6, layers_per_stage=1, attention_heads=2,
@@ -107,9 +109,12 @@ class TestEvaluate:
     def test_perfect_oracle_stub(self):
         series = sine_series("s", 24, length=400, channels=2)
         split = chronological_split(series, 0.6, 0.2, 0.2)
+        calls = []
 
         def oracle(lookbacks, horizon):
-            # find each lookback's origin in the series and return the truth
+            # find each lookback's origin in the series and return the truth;
+            # a window reaching past the series end is never found
+            calls.append(horizon)
             outs = np.zeros((lookbacks.shape[0], horizon))
             L = lookbacks.shape[1]
             for i in range(lookbacks.shape[0]):
@@ -123,9 +128,14 @@ class TestEvaluate:
                     break
             return outs
 
-        report = evaluate(None, series, split, [8], lookback_len=16,
-                          stride=16, forecast_fn=oracle)
-        assert report.rows[0].mse == 0.0 and report.rows[0].mae == 0.0
+        report = evaluate(None, series, split, [8, 30, 13], lookback_len=16,
+                          stride=8, forecast_fn=oracle)
+        assert [r.horizon for r in report.rows] == [8, 13, 30]
+        for row in report.rows:
+            assert row.mse == 0.0 and row.mae == 0.0
+        # 8, 7 and 5 origins: one call per distinct decode length
+        assert [r.windows for r in report.rows] == [8, 7, 5]
+        assert sorted(calls) == [8, 13, 30]
 
     def test_deterministic(self, tiny_ckpt):
         series = sine_series("t", 48, length=300, seed=3)
@@ -140,6 +150,51 @@ class TestEvaluate:
         a = evaluate(tiny_ckpt, series, split, [8], lookback_len=12, stride=2)
         b = evaluate(tiny_ckpt, series, split, [8], lookback_len=12, stride=2, threads=3)
         assert a.rows == b.rows
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_multi_horizon_matches_single_horizon_calls(self, tiny_ckpt, threads):
+        # 6 and 9 are not multiples of token_len 4; 6 is duplicated
+        series = sine_series("t", 48, length=300, seed=3)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        horizons = [8, 6, 4, 9, 6]
+        report = evaluate(tiny_ckpt, series, split, horizons, lookback_len=12,
+                          stride=3, threads=threads)
+        singles = [evaluate(tiny_ckpt, series, split, [h], lookback_len=12,
+                            stride=3).rows[0] for h in sorted(horizons)]
+        assert report.rows == singles
+
+    def test_training_works_after_threaded_evaluate(self, tiny_ckpt):
+        series = sine_series("t", 48, length=300, seed=3)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        train = build_mixed_dataset([(series, split)], "train")
+        val = build_mixed_dataset([(series, split)], "validation")
+        cfg = TrainConfig(epochs=1, stride=8, seed=0, scope="head", patience=1)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                evaluate(tiny_ckpt, series, split, [4, 8], lookback_len=12,
+                         stride=2, threads=3)
+                tuned, history = finetune_heads(tiny_ckpt, cfg, train, val)
+                assert len(history) == 1
+                assert not np.array_equal(tuned.arrays["stage0.head.weight"],
+                                          tiny_ckpt.arrays["stage0.head.weight"])
+        finally:
+            sys.setswitchinterval(old)
+
+    @pytest.mark.parametrize("horizons,stride", [([0, 8], 1), ([8], 0), ([8], -2)])
+    def test_bad_horizon_or_stride_rejected(self, tiny_ckpt, horizons, stride):
+        series = sine_series("t", 48, length=300, seed=3)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        with pytest.raises(ConfigError, match="horizons|stride"):
+            evaluate(tiny_ckpt, series, split, horizons, lookback_len=12, stride=stride)
+
+    def test_forecast_fn_output_shape_checked(self):
+        series = sine_series("s", 24, length=400, channels=2)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        with pytest.raises(ShapeError, match="forecast_fn"):
+            evaluate(None, series, split, [8], lookback_len=16,
+                     forecast_fn=lambda lb, h: np.zeros((lb.shape[0], 1)))
 
     def test_insufficient_test_data(self, tiny_ckpt):
         series = sine_series("t", 48, length=100, seed=3)

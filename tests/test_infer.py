@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from tokencast.errors import ConfigError, DataError, InputTooShortError
-from tokencast.infer import ForecastRequest, ar_forecast, context_window, forecast_multivariate
+import tokencast.infer as infer
+from tokencast.infer import (
+    ForecastRequest,
+    _decode_batch,
+    ar_forecast,
+    context_window,
+    forecast_multivariate,
+)
 from tokencast.model import ModelConfig, init_model
 
 T48_MODEL = ModelConfig(num_stages=1, pool_kernels=(2,), token_len=48, max_tokens=7,
@@ -105,6 +112,39 @@ class TestDecodeBehavior:
         a = ar_forecast(tiny_params, ForecastRequest(lookback, 4)).predictions
         b = ar_forecast(tiny_params, ForecastRequest(other, 4)).predictions
         np.testing.assert_array_equal(a, b)
+
+
+class TestPerRowHorizons:
+    HORIZONS = np.array([9, 4, 13, 1, 13, 6])  # token_len 4: 3, 1, 4, 1, 4, 2 steps
+
+    def test_rows_match_solo_forecasts(self, tiny_params, rng):
+        lookbacks = rng.normal(size=(6, 12))
+        preds, mu, scale, steps = _decode_batch(tiny_params, lookbacks, 13,
+                                                horizons=self.HORIZONS)
+        assert preds.shape == (6, 13) and steps == 4
+        for r, h in enumerate(self.HORIZONS):
+            solo = ar_forecast(tiny_params, ForecastRequest(lookbacks[r], int(h)))
+            np.testing.assert_array_equal(preds[r, :h], solo.predictions[0])
+            assert np.isnan(preds[r, h:]).all()
+            assert mu[r] == solo.stats[0].mu
+
+    def test_rows_retire_from_the_batch(self, tiny_params, rng, monkeypatch):
+        batch_rows = []
+        real = infer.model_forward
+
+        def spy(params, tokens):
+            batch_rows.append(tokens.shape[0])
+            return real(params, tokens)
+
+        monkeypatch.setattr(infer, "model_forward", spy)
+        _decode_batch(tiny_params, rng.normal(size=(6, 12)), 13, horizons=self.HORIZONS)
+        assert batch_rows == [6, 4, 3, 2]
+
+    @pytest.mark.parametrize("horizons", [[4, 13], [0, 13, 5], [13, 14, 5], [4, 8, 12]])
+    def test_bad_row_horizons(self, tiny_params, horizons):
+        # one per row, each in [1, 13], the longest exactly 13
+        with pytest.raises(ConfigError):
+            _decode_batch(tiny_params, np.zeros((3, 12)), 13, horizons=np.array(horizons))
 
 
 class TestMultivariate:

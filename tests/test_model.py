@@ -10,6 +10,7 @@ from tokencast.model import (
     init_model,
     model_forward,
     paper_preset,
+    parameter_layout,
     stage_forward,
 )
 
@@ -73,6 +74,14 @@ class TestInit:
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             init_model(ModelConfig(num_stages=0, pool_kernels=()))
+
+    def test_layout_lists_every_initialized_array(self):
+        params = tiny_params()
+        layout = parameter_layout(TINY)
+        assert [name for name, _, _ in layout] == list(params.arrays)
+        for name, shape, scope in layout:
+            assert params.arrays[name].shape == shape
+            assert params.scopes[name] == scope
 
 
 class TestCountParameters:
