@@ -7,6 +7,13 @@ per-forward tape; ``backward`` walks the tape in reverse topological order and
 accumulates gradients into ``requires_grad`` leaves. The tape is released after
 the walk; leaf ``.grad`` buffers accumulate across calls until zeroed.
 
+Gradient arrays are never written in place. A leaf's first gradient is the
+array its consumer's closure produced, with no copy, so it may be shared with
+another leaf (both operands of ``add``) or be a view of an upstream gradient
+(``reshape``, ``swap_axes``). Accumulation is ``t.grad + g``, a new array, and
+``adam_step`` only reads ``param.grad``; a kernel or optimizer that wrote into
+a gradient would corrupt every array sharing it.
+
 A tape belongs to one logical thread. ``no_grad`` disables recording (used for
 validation and inference) for the calling thread only, so worker threads that
 decode under ``no_grad`` never switch recording off for another thread.
@@ -104,7 +111,7 @@ def _node(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tenso
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.requires_grad:
-        t.grad = g.copy() if t.grad is None else t.grad + g
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -174,12 +181,28 @@ def _check_matmul_shapes(sa: tuple[int, ...], sb: tuple[int, ...]) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading batch dimensions broadcast only when equal."""
+    """Matrix product; leading batch dimensions broadcast only when equal.
+
+    Against a shared 2-D ``b`` of shape (k, n), backward folds every leading
+    dimension of ``a`` into the rows of one GEMM per operand: the weight
+    gradient is ``a.reshape(-1, k).T @ g.reshape(-1, n)`` rather than one
+    product per batch entry summed afterwards. The sum runs in a different
+    order, so the weight gradient can differ in the last bits from the
+    per-entry sum.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     _check_matmul_shapes(a.values.shape, b.values.shape)
     out = a.values @ b.values
 
     def bwd(g: np.ndarray) -> None:
+        if b.values.ndim == 2:
+            k, n = b.values.shape
+            rows = g.reshape(-1, n)
+            if a.requires_grad:
+                _accum(a, (rows @ b.values.T).reshape(a.values.shape))
+            if b.requires_grad:
+                _accum(b, a.values.reshape(-1, k).T @ rows)
+            return
         if a.requires_grad:
             ga = g @ np.swapaxes(b.values, -1, -2)
             _accum(a, _unbroadcast(ga, a.values.shape))

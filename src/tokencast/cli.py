@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Commands: pretrain, finetune, forecast, evaluate, synth, inspect.
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric abort,
-5 protocol violation. Runs are reproducible: identical config, seed and
-inputs give identical output bytes at any --threads count.
+Exit codes: 0 success, 2 config error, 3 data error (including operands
+whose shapes disagree, ShapeError), 4 numeric abort, 5 protocol violation.
+Runs are reproducible: identical config, seed and inputs give identical
+output bytes at any --threads count.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     InputTooShortError,
     NumericAbort,
     ProtocolError,
+    ShapeError,
 )
 from .evaluate import (
     EvalReport,
@@ -250,7 +252,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, InputTooShortError, CheckpointFormatError,
+    except (DataError, InputTooShortError, CheckpointFormatError, ShapeError,
             FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -167,7 +167,8 @@ class RunConfig:
 
     def eval_settings(self) -> dict:
         raw = self.sections.get("eval", {})
-        horizons = [int(h) for h in raw.get("horizons", "96").split(",") if h.strip()]
+        horizons = [_cast(int, h, "eval", "horizons")
+                    for h in raw.get("horizons", "96").split(",") if h.strip()]
         if not horizons or any(h < 1 for h in horizons):
             raise ConfigError(f"[eval] horizons invalid: {raw.get('horizons')!r}")
         settings = {

@@ -144,19 +144,18 @@ def _fit(
     lookback_len = cfg.max_tokens * cfg.token_len
     horizon_len = cfg.token_len
 
-    probe = sample_windows(train_mixed, lookback_len, horizon_len,
-                           stride=train_config.stride, seed=0)
-    if not probe:
+    # start 0 of every segment is always sampled, so a training window exists
+    # iff some segment spans one; checked without building an epoch of windows
+    span = lookback_len + horizon_len
+    if not any(len(seg.values) >= span for seg in train_mixed.segments):
         raise ConfigError(
-            f"no training windows: need segments of at least "
-            f"{lookback_len + horizon_len} points"
+            f"no training windows: need segments of at least {span} points"
         )
     val_windows = sample_windows(val_mixed, lookback_len, horizon_len,
                                  stride=train_config.stride, seed=0)
     if not val_windows:
         raise ConfigError(
-            f"no validation windows: need segments of at least "
-            f"{lookback_len + horizon_len} points"
+            f"no validation windows: need segments of at least {span} points"
         )
 
     trainable = params.trainable(train_config.scope)

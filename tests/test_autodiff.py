@@ -28,7 +28,7 @@ from tokencast.autodiff import (
 )
 from tokencast.errors import ConfigError, ShapeError
 
-from conftest import check_gradient
+from conftest import central_difference, check_gradient, relative_error
 
 
 class TestMatmul:
@@ -66,6 +66,68 @@ class TestMatmul:
         check_gradient(
             lambda w: mse(matmul(Tensor(x0), w), np.zeros((3, 4, 2))), w0, rtol=1e-6
         )
+
+
+class TestMatmulSharedWeight:
+    """(..., L, k) @ (k, n): backward folds the leading dimensions into one
+    GEMM per operand."""
+
+    CASES = {
+        "3d": ((3, 4, 5), (5, 2), False),
+        "4d": ((2, 3, 4, 5), (5, 2), False),
+        # the upstream gradient reaches matmul as a non-contiguous view
+        "3d_swapped_upstream": ((3, 4, 5), (5, 2), True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("wrt", ["a", "b", "both"])
+    def test_finite_differences(self, rng, case, wrt):
+        shape_a, shape_b, swapped = self.CASES[case]
+        a0 = rng.uniform(-2, 2, shape_a)
+        b0 = rng.uniform(-2, 2, shape_b)
+        out_shape = shape_a[:-1] + shape_b[-1:]
+        if swapped:
+            out_shape = out_shape[:-2] + out_shape[:-3:-1]
+        target = rng.uniform(-1, 1, out_shape)
+
+        def loss_of(a, b):
+            out = matmul(a, b)
+            if swapped:
+                out = swap_axes(out, -1, -2)
+            return mse(out, target)
+
+        a = Tensor(a0.copy(), requires_grad=wrt in ("a", "both"))
+        b = Tensor(b0.copy(), requires_grad=wrt in ("b", "both"))
+        backward(loss_of(a, b))
+        if wrt in ("a", "both"):
+            numeric = central_difference(
+                lambda x: float(loss_of(Tensor(x), Tensor(b0)).values), a0.copy())
+            assert relative_error(a.grad, numeric) < 1e-6
+        else:
+            assert a.grad is None
+        if wrt in ("b", "both"):
+            numeric = central_difference(
+                lambda x: float(loss_of(Tensor(a0), Tensor(x)).values), b0.copy())
+            assert relative_error(b.grad, numeric) < 1e-6
+        else:
+            assert b.grad is None
+
+    def test_folded_gradients_equal_per_window_products(self, rng):
+        # the paper-preset shapes: a batch of 64 windows, 7 tokens, width 64
+        x0 = rng.normal(size=(64, 7, 64))
+        w0 = rng.normal(size=(64, 128))
+        target = rng.normal(size=(64, 7, 128))
+        x = Tensor(x0, requires_grad=True)
+        w = Tensor(w0, requires_grad=True)
+        backward(mse(matmul(x, w), target))
+        g = (2.0 / target.size) * (x0 @ w0 - target)
+        weight_ref = sum(x0[i].T @ g[i] for i in range(len(x0)))
+        input_ref = np.stack([g[i] @ w0.T for i in range(len(x0))])
+        # entries that cancel to near zero get an absolute floor at the
+        # array's scale; float64 GEMMs agree to a few ulp of that scale
+        for got, ref in ((w.grad, weight_ref), (x.grad, input_ref)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
 
 
 class TestSoftmax:
@@ -251,6 +313,27 @@ class TestBackward:
         x = Tensor(3.0, requires_grad=True)
         backward(mul(add(x, x), x))
         assert x.grad == pytest.approx(12.0)
+
+    def test_shared_gradient_is_never_written_in_place(self, rng):
+        # both operands of add receive the same upstream array, which _accum
+        # stores without a copy; neither the optimizer step nor a second
+        # backward may change an array handed out earlier
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        target = rng.normal(size=(3, 4))
+        backward(mse(add(x, y), target))
+        x_grad, y_grad = x.grad, y.grad
+        snapshot = (x_grad.copy(), y_grad.copy())
+        y_values = y.values.copy()
+        adam_step(x, AdamState.for_param(x, learning_rate=0.1))
+        np.testing.assert_array_equal(y.grad, snapshot[1])
+        backward(mse(add(x, y), target))
+        np.testing.assert_array_equal(x_grad, snapshot[0])
+        np.testing.assert_array_equal(y_grad, snapshot[1])
+        np.testing.assert_array_equal(y.values, y_values)
+        second = 2.0 * (x.values + y.values - target) / target.size
+        np.testing.assert_allclose(y.grad, snapshot[1] + second, rtol=1e-12)
+        np.testing.assert_allclose(x.grad, snapshot[0] + second, rtol=1e-12)
 
     def test_no_grad_suppresses_tape(self):
         x = Tensor(3.0, requires_grad=True)

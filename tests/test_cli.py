@@ -7,7 +7,7 @@ from tokencast.cli import main
 from tokencast.checkpoint import from_params, load_checkpoint, save_checkpoint
 from tokencast.config import parse_components, parse_run_config
 from tokencast.data import NoiseComponent, SineComponent, TrendComponent
-from tokencast.errors import ConfigError
+from tokencast.errors import ConfigError, ShapeError
 from tokencast.model import ModelConfig, init_model
 
 TINY_MODEL_SECTION = """\
@@ -291,6 +291,25 @@ class TestEvaluateCommand:
         cfg_text = cfg.read_text() + TRAIN_SECTION.replace("epochs = 2", "epochs = 1")
         cfg.write_text(cfg_text)
         assert main(["evaluate", str(pretrained), str(cfg), str(tmp_path / "fs")]) == 0
+
+    def test_non_integer_horizon_exits_2(self, tmp_path, synth_csv, pretrained, capsys):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(
+            f"[data]\ndatasets = mix={synth_csv.name}\n"
+            "[eval]\nhorizons = 4,abc\nlookback = 12\n"
+        )
+        assert main(["evaluate", str(pretrained), str(cfg), str(tmp_path / "h")]) == 2
+        assert "[eval] horizons='abc'" in capsys.readouterr().err
+
+    def test_shape_error_exits_3(self, tmp_path, synth_csv, pretrained, monkeypatch,
+                                 capsys):
+        def mismatched(*args, **kwargs):
+            raise ShapeError("metrics shapes disagree: (2, 4) vs (2, 8)")
+
+        monkeypatch.setattr("tokencast.cli.evaluate", mismatched)
+        cfg = self.eval_cfg(tmp_path, synth_csv)
+        assert main(["evaluate", str(pretrained), str(cfg), str(tmp_path / "s")]) == 3
+        assert "data error: metrics shapes disagree" in capsys.readouterr().err
 
 
 class TestInspectCommand:

@@ -110,6 +110,30 @@ class TestPretrain:
         with pytest.raises(ConfigError, match="window"):
             pretrain(TINY_MODEL, TrainConfig(epochs=1), train, val)
 
+    @staticmethod
+    def split_mixed(train_len, val_len):
+        # TINY_MODEL windows span 3 tokens of 4 plus one future token = 16
+        series = sine_series("s", 8, length=train_len + val_len + 4, channels=1)
+        split = DatasetSplit((0, train_len), (train_len, train_len + val_len),
+                             (train_len + val_len, series.length))
+        return (build_mixed_dataset([(series, split)], "train"),
+                build_mixed_dataset([(series, split)], "validation"))
+
+    @pytest.mark.parametrize("train_len, val_len, message", [
+        (15, 16, "no training windows: need segments of at least 16 points"),
+        (16, 15, "no validation windows: need segments of at least 16 points"),
+    ])
+    def test_missing_windows_rejected(self, train_len, val_len, message):
+        train, val = self.split_mixed(train_len, val_len)
+        with pytest.raises(ConfigError, match=message):
+            pretrain(TINY_MODEL, TrainConfig(epochs=1), train, val)
+
+    def test_one_window_per_segment_is_enough(self):
+        # start 0 is always taken, whatever the stride
+        train, val = self.split_mixed(16, 16)
+        _, history = pretrain(TINY_MODEL, TrainConfig(epochs=1, stride=7), train, val)
+        assert len(history) == 1
+
     def test_head_scope_rejected_for_pretrain(self):
         series = sine_series("s", 24, length=200)
         train = mixed_from([series], "train")
