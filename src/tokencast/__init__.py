@@ -2,7 +2,7 @@
 pretraining, heads-only fine-tuning, and sliding-window decoding."""
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .infer import ForecastRequest, ar_forecast, forecast_multivariate
+from .infer import ForecastRequest, ar_forecast
 from .model import ModelConfig, init_model, model_forward, paper_preset
 from .train import TrainConfig, finetune_heads, pretrain
 
@@ -16,7 +16,6 @@ __all__ = [
     "pretrain",
     "finetune_heads",
     "ar_forecast",
-    "forecast_multivariate",
     "load_checkpoint",
     "save_checkpoint",
 ]

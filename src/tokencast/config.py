@@ -125,7 +125,7 @@ class RunConfig:
         spec = raw.get("datasets")
         if not spec:
             raise ConfigError("[data] datasets is required (name=path;name=path)")
-        default_ratios = _ratio_triple(raw.get("split", "0.7,0.1,0.2"))
+        default_ratios = _ratio_triple(raw.get("split", "0.7,0.1,0.2"), "split")
         out = []
         for entry in spec.split(";"):
             entry = entry.strip()
@@ -142,7 +142,7 @@ class RunConfig:
             ratios = default_ratios
             override = raw.get(f"split.{name}")
             if override is not None:
-                ratios = _ratio_triple(override)
+                ratios = _ratio_triple(override, f"split.{name}")
             out.append((series, chronological_split(series, *ratios)))
         if not out:
             raise ConfigError("[data] datasets lists no entries")
@@ -199,8 +199,8 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def _ratio_triple(text: str) -> tuple[float, float, float]:
-    parts = [float(v) for v in text.split(",")]
+def _ratio_triple(text: str, key: str) -> tuple[float, float, float]:
+    parts = [_cast(float, v, "data", key) for v in text.split(",")]
     if len(parts) != 3:
         raise ConfigError(f"split needs three ratios, got {text!r}")
     return parts[0], parts[1], parts[2]

@@ -62,7 +62,6 @@ class MixedDataset:
 class WindowPair:
     lookback: np.ndarray
     target: np.ndarray
-    source: str
 
 
 def load_csv_dataset(path, name: str) -> MultivariateSeries:
@@ -131,8 +130,8 @@ def chronological_split(
 ) -> DatasetSplit:
     """Prefix-partition the time axis at floor(ratio * length) boundaries."""
     ratios = (ratio_train, ratio_val, ratio_test)
-    if any(r <= 0 for r in ratios):
-        raise ConfigError(f"split ratios must be positive, got {ratios}")
+    if not all(math.isfinite(r) and r > 0 for r in ratios):
+        raise ConfigError(f"split ratios must be positive and finite, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {ratios} (sum {sum(ratios)})")
     n = series.length
@@ -191,7 +190,6 @@ def sample_windows(
                 WindowPair(
                     lookback=seg.values[start:start + lookback_len],
                     target=seg.values[start + lookback_len:start + span],
-                    source=seg.source,
                 )
             )
     order = np.random.default_rng(seed).permutation(len(pairs))

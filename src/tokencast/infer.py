@@ -1,15 +1,16 @@
 """Sliding-window auto-regressive decoding at arbitrary horizons.
 
 Each channel decodes independently, entirely in normalized space: the
-lookback is standardized once, the model repeatedly predicts the token after
-the most recent (at most max_tokens) context tokens, and the generated tokens
-are concatenated, truncated to the horizon, and mapped back to series units
-with the original stats. A forecast at horizon H is therefore the first H
-points of the forecast at any longer horizon, which lets one batch serve rows
-of different horizons: each row retires once its own horizon is decoded.
-Forecasts are bit-invariant to lookback content older than
-max_tokens * token_len points because both the context window and the
-normalization statistics come from that suffix alone.
+lookback is tokenized and standardized once by
+``preprocess.instance_normalize``, the model repeatedly predicts the token
+after the most recent (at most max_tokens) context tokens, and the generated
+tokens are concatenated, truncated to the horizon, and mapped back to series
+units by ``preprocess.denormalize`` with the lookback's stats. A forecast at
+horizon H is therefore the first H points of the forecast at any longer
+horizon, which lets one batch serve rows of different horizons: each row
+retires once its own horizon is decoded. Forecasts are bit-invariant to
+lookback content older than max_tokens * token_len points because both the
+context window and the normalization statistics come from that suffix alone.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .errors import ConfigError, DataError, InputTooShortError
+from .errors import ConfigError, DataError
 from .model import ModelParams, model_forward
-from .preprocess import DEFAULT_EPS, NormStats
+from .preprocess import denormalize, instance_normalize
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class ForecastRequest:
 class ForecastResult:
     predictions: np.ndarray  # (C, H) in series units
     decode_steps: int
-    stats: list[NormStats]
 
 
 def context_window(tokens: np.ndarray, max_tokens: int) -> np.ndarray:
@@ -45,7 +45,7 @@ def context_window(tokens: np.ndarray, max_tokens: int) -> np.ndarray:
 
 
 def _decode_batch(params: ModelParams, lookbacks: np.ndarray, horizon: int,
-                  eps: float = DEFAULT_EPS, *, horizons: np.ndarray | None = None,
+                  *, horizons: np.ndarray | None = None,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Decode a (N, L) batch of univariate lookbacks to (N, horizon).
 
@@ -60,20 +60,10 @@ def _decode_batch(params: ModelParams, lookbacks: np.ndarray, horizon: int,
     t_len = cfg.token_len
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    rows, length = lookbacks.shape
-    if length < t_len:
-        raise InputTooShortError(
-            f"lookback of {length} points is shorter than one token ({t_len})"
-        )
+    rows = lookbacks.shape[0]
     if not np.all(np.isfinite(lookbacks)):
         raise DataError("lookback contains non-finite values")
-
-    # effective context: newest full tokens, at most max_tokens of them
-    num_tokens = min(length // t_len, cfg.max_tokens)
-    effective = lookbacks[..., length - num_tokens * t_len:]
-    mu = effective.mean(axis=-1, keepdims=True)
-    scale = effective.std(axis=-1, keepdims=True) + eps
-    ctx = ((effective - mu) / scale).reshape(rows, num_tokens, t_len)
+    ctx, mu, scale = instance_normalize(lookbacks, t_len, cfg.max_tokens)
 
     steps = math.ceil(horizon / t_len)
     active = [rows] * steps  # rows still decoding at each step
@@ -102,7 +92,7 @@ def _decode_batch(params: ModelParams, lookbacks: np.ndarray, horizon: int,
     if horizons is not None:
         decoded[order] = decoded.copy()
         decoded[np.arange(steps * t_len) >= horizons[:, None]] = np.nan
-    return decoded[:, :horizon] * scale + mu, mu[..., 0], scale[..., 0], steps
+    return denormalize(decoded[:, :horizon], mu, scale), mu[..., 0], scale[..., 0], steps
 
 
 def ar_forecast(params: ModelParams, request: ForecastRequest) -> ForecastResult:
@@ -110,13 +100,5 @@ def ar_forecast(params: ModelParams, request: ForecastRequest) -> ForecastResult
     lookback = np.asarray(request.lookback, dtype=np.float64)
     if lookback.ndim == 1:
         lookback = lookback[None, :]
-    preds, mu, scale, steps = _decode_batch(params, lookback, request.horizon)
-    eps = DEFAULT_EPS
-    stats = [NormStats(mu=float(m), sigma=float(s) - eps, eps=eps)
-             for m, s in zip(mu, scale)]
-    return ForecastResult(predictions=preds, decode_steps=steps, stats=stats)
-
-
-def forecast_multivariate(params: ModelParams, values: np.ndarray, horizon: int) -> np.ndarray:
-    """Per-channel forecasts concatenated in channel order, shape (C, H)."""
-    return ar_forecast(params, ForecastRequest(lookback=values, horizon=horizon)).predictions
+    preds, _, _, steps = _decode_batch(params, lookback, request.horizon)
+    return ForecastResult(predictions=preds, decode_steps=steps)

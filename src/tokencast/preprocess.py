@@ -1,80 +1,45 @@
-"""Channel flattening, non-overlapping tokenization, and reversible
-per-window instance normalization.
+"""Reversible per-window instance normalization into tokens.
 
-Everything here is a stateless pure function over numpy arrays. Normalization
-statistics (mean and population std of the window itself) travel with the
-window so predictions can be mapped back to series units; decoding reuses the
-lookback's stats unchanged.
+This module owns the window-to-tokens decision that training and decoding
+share: each row keeps its newest full tokens (at most max_tokens of them) and
+is standardized by the mean and population std of exactly those points. The
+statistics travel with the tokens so predictions can be mapped back to series
+units; decoding reuses the lookback's stats unchanged.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputTooShortError
 
-DEFAULT_EPS = 1e-5
+EPS = 1e-5  # keeps the constant-window case finite
 
 
-@dataclass(frozen=True)
-class NormStats:
-    """Per-window mean/std captured at normalization time."""
+def instance_normalize(
+    windows: np.ndarray, token_len: int, max_tokens: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tokenize and standardize every (..., L) row by its own statistics.
 
-    mu: float
-    sigma: float
-    eps: float = DEFAULT_EPS
-
-
-def flatten_channels(window: np.ndarray) -> list[np.ndarray]:
-    """Split a (C, L) window into C independent univariate windows."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim == 1:
-        window = window[None, :]
-    return [window[c].copy() for c in range(window.shape[0])]
-
-
-def tokenize(window: np.ndarray, token_len: int) -> np.ndarray:
-    """Reshape a length-L window into (L', token_len) tokens in time order.
-
-    When token_len does not divide L, the oldest L mod token_len points are
-    dropped so the most recent information survives intact.
+    Keeps the newest min(L // token_len, max_tokens) full tokens of each row,
+    so older points (including the L mod token_len remainder) are ignored.
+    Returns (tokens of shape (..., n, token_len), mu, scale) with mu and scale
+    of shape (..., 1) and scale = population std + EPS.
     """
-    window = np.asarray(window, dtype=np.float64)
-    length = window.shape[-1]
-    if token_len < 1:
-        raise InputTooShortError(f"token length must be positive, got {token_len}")
+    length = windows.shape[-1]
     if length < token_len:
         raise InputTooShortError(
-            f"window of length {length} is shorter than one token ({token_len})"
+            f"window of {length} points is shorter than one token ({token_len})"
         )
-    num_tokens = length // token_len
-    trimmed = window[..., length - num_tokens * token_len:]
-    return trimmed.reshape(window.shape[:-1] + (num_tokens, token_len))
+    num_tokens = min(length // token_len, max_tokens)
+    effective = windows[..., length - num_tokens * token_len:]
+    mu = effective.mean(axis=-1, keepdims=True)
+    scale = effective.std(axis=-1, keepdims=True) + EPS
+    tokens = ((effective - mu) / scale).reshape(
+        windows.shape[:-1] + (num_tokens, token_len))
+    return tokens, mu, scale
 
 
-def detokenize(tokens: np.ndarray) -> np.ndarray:
-    """Concatenate (..., L', T) tokens back into a (..., L'*T) window."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    return tokens.reshape(tokens.shape[:-2] + (tokens.shape[-2] * tokens.shape[-1],))
-
-
-def instance_normalize(window: np.ndarray, eps: float = DEFAULT_EPS) -> tuple[np.ndarray, NormStats]:
-    """Standardize a window by its own mean and population std.
-
-    Returns the normalized window together with the stats needed to reverse
-    the mapping; eps keeps the constant-window case finite.
-    """
-    window = np.asarray(window, dtype=np.float64)
-    if window.size == 0:
-        raise InputTooShortError("cannot normalize an empty window")
-    mu = float(window.mean())
-    sigma = float(window.std())
-    stats = NormStats(mu=mu, sigma=sigma, eps=eps)
-    return (window - mu) / (sigma + eps), stats
-
-
-def denormalize(pred: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Map normalized values back to series units: pred * (sigma + eps) + mu."""
-    return np.asarray(pred, dtype=np.float64) * (stats.sigma + stats.eps) + stats.mu
+def denormalize(pred: np.ndarray, mu: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Map normalized values back to series units with instance_normalize's stats."""
+    return pred * scale + mu

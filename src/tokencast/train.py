@@ -2,14 +2,17 @@
 
 The objective is next-token MSE: position j of the model output predicts
 token j+1, so the target is the input shifted one token plus one future
-token (horizon = token length). The loss compares values mapped back to
-series units; in normalized space the minimizer is the same, but series
-units match the de-normalize-then-score ordering the pipeline defines.
+token (horizon = token length). Each lookback is tokenized and normalized by
+``preprocess.instance_normalize``, the future token with the lookback's
+stats. The loss compares values mapped back to series units; in normalized
+space the minimizer is the same, but series units match the
+de-normalize-then-score ordering the pipeline defines.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +22,7 @@ from .checkpoint import Checkpoint, from_params, to_params
 from .data import MixedDataset, WindowPair, sample_windows
 from .errors import ConfigError, NumericAbort
 from .model import ModelConfig, ModelParams, init_model, model_forward
-from .preprocess import DEFAULT_EPS
+from .preprocess import denormalize, instance_normalize
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,14 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ConfigError(f"adam_eps must be positive and finite, got {self.adam_eps}")
         if self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
         if self.patience < 1:
@@ -61,32 +70,19 @@ def ar_loss(
     y_pred: Tensor,
     input_tokens: np.ndarray,
     next_token: np.ndarray,
-    mu: np.ndarray | None = None,
-    scale: np.ndarray | None = None,
+    mu: np.ndarray,
+    scale: np.ndarray,
 ) -> Tensor:
-    """Next-token MSE over all positions.
+    """Next-token MSE over all positions, in series units.
 
     input_tokens is (..., L', T) in the same (normalized) space as y_pred and
     next_token is the (..., T) future token; the target is tokens 2..L'
-    followed by the future token. When mu/scale are given (broadcastable;
-    scale = sigma + eps), both sides are mapped back to series units first.
+    followed by the future token. Both sides are mapped back to series units
+    with mu and scale (broadcastable, as returned by instance_normalize).
     """
-    input_tokens = np.asarray(input_tokens, dtype=np.float64)
-    next_token = np.asarray(next_token, dtype=np.float64)
     target = np.concatenate([input_tokens[..., 1:, :], next_token[..., None, :]], axis=-2)
-    if (mu is None) != (scale is None):
-        raise ConfigError("ar_loss needs both mu and scale, or neither")
-    if mu is not None:
-        y_pred = add(mul(y_pred, scale), mu)
-        target = target * scale + mu
-    return mse(y_pred, target)
-
-
-def _normalize_batch(lookbacks: np.ndarray, eps: float = DEFAULT_EPS):
-    """Per-window standardization of a (B, L) batch; returns mu/scale too."""
-    mu = lookbacks.mean(axis=-1, keepdims=True)
-    scale = lookbacks.std(axis=-1, keepdims=True) + eps
-    return (lookbacks - mu) / scale, mu, scale
+    y_pred = add(mul(y_pred, scale), mu)
+    return mse(y_pred, denormalize(target, mu, scale))
 
 
 def _batch_arrays(batch: list[WindowPair]) -> tuple[np.ndarray, np.ndarray]:
@@ -99,8 +95,7 @@ def _batch_loss(params: ModelParams, batch: list[WindowPair],
                 rng: np.random.Generator | None = None) -> Tensor:
     cfg = params.config
     lb, tg = _batch_arrays(batch)
-    normed, mu, scale = _normalize_batch(lb)
-    tokens = normed.reshape(len(batch), cfg.max_tokens, cfg.token_len)
+    tokens, mu, scale = instance_normalize(lb, cfg.token_len, cfg.max_tokens)
     next_token = (tg - mu) / scale
     out = model_forward(params, tokens, rng=rng)
     return ar_loss(out.prediction, tokens, next_token,

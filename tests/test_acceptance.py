@@ -33,7 +33,7 @@ from tokencast.model import (
     paper_preset,
     stage_forward,
 )
-from tokencast.preprocess import denormalize, detokenize, instance_normalize, tokenize
+from tokencast.preprocess import denormalize, instance_normalize
 from tokencast.train import TrainConfig, finetune_heads, pretrain
 
 from conftest import central_difference, relative_error
@@ -218,12 +218,14 @@ class TestCriterion3Reversibility:
         worst = 0.0
         for _ in range(50):
             w = rng.normal(rng.uniform(-5, 5), rng.uniform(0.01, 8), size=128)
-            normed, stats = instance_normalize(w)
-            worst = max(worst, float(np.abs(denormalize(normed, stats) - w).max()))
+            tokens, mu, scale = instance_normalize(w, 16, 8)
+            worst = max(worst, float(np.abs(denormalize(tokens.reshape(-1), mu, scale) - w).max()))
         tok_ok = True
         for _ in range(20):
+            # tokens are the normalized window in time order, bit for bit
             w = rng.normal(size=336)
-            tok_ok &= bool(np.array_equal(detokenize(tokenize(w, 48)), w))
+            tokens, mu, scale = instance_normalize(w, 48, 7)
+            tok_ok &= bool(np.array_equal(tokens.reshape(-1), (w - mu) / scale))
         ckpt = from_params(init_model(TINY), {"seed": "11"})
         path = tmp_path / "rt.ckpt"
         from tokencast.checkpoint import save_checkpoint

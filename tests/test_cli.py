@@ -139,6 +139,23 @@ class TestPretrainCommand:
         assert main(["--threads", "1", "pretrain", str(cfg), str(out2)]) == 0
         assert (out1 / "model.ckpt").read_bytes() == (out2 / "model.ckpt").read_bytes()
 
+    @pytest.mark.parametrize("key", ["split", "split.mix"])
+    def test_non_numeric_split_exits_2(self, tmp_path, synth_csv, capsys, key):
+        cfg = write_train_cfg(tmp_path, synth_csv)
+        cfg.write_text(cfg.read_text().replace("split = 0.7,0.1,0.2", f"{key} = 0.7,abc,0.2"))
+        assert main(["pretrain", str(cfg), str(tmp_path / "out")]) == 2
+        assert f"[data] {key}='abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [
+        "beta1 = 1.0", "beta1 = -0.1", "beta2 = 1.5", "adam_eps = 0",
+        "adam_eps = -1e-8", "adam_eps = inf", "learning_rate = nan", "learning_rate = inf",
+    ])
+    def test_bad_adam_setting_exits_2(self, tmp_path, synth_csv, capsys, setting):
+        cfg = write_train_cfg(tmp_path, synth_csv)
+        cfg.write_text(cfg.read_text().replace("[train]\n", f"[train]\n{setting}\n"))
+        assert main(["pretrain", str(cfg), str(tmp_path / "out")]) == 2
+        assert setting.split(" =")[0] in capsys.readouterr().err
+
     def test_missing_dataset_exits_3(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

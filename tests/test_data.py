@@ -84,8 +84,11 @@ class TestSplit:
             chronological_split(make_series("x", 1, 10), 0.5, 0.2, 0.2)
 
     def test_nonpositive_ratio(self):
-        with pytest.raises(ConfigError):
-            chronological_split(make_series("x", 1, 10), 1.0, -0.2, 0.2)
+        nan, inf = float("nan"), float("inf")
+        for ratios in [(1.0, -0.2, 0.2), (0.7, 0.1, nan), (nan, 0.1, 0.2),
+                       (0.7, inf, 0.2), (inf, -inf, 1.0)]:
+            with pytest.raises(ConfigError, match="positive and finite"):
+                chronological_split(make_series("x", 1, 10), *ratios)
 
     def test_partition_covers_series(self, rng):
         for n in rng.integers(10, 5000, size=20):

@@ -8,9 +8,9 @@ from tokencast.infer import (
     _decode_batch,
     ar_forecast,
     context_window,
-    forecast_multivariate,
 )
 from tokencast.model import ModelConfig, init_model
+from tokencast.preprocess import instance_normalize
 
 T48_MODEL = ModelConfig(num_stages=1, pool_kernels=(2,), token_len=48, max_tokens=7,
                         model_width=8, layers_per_stage=1, attention_heads=2,
@@ -126,7 +126,8 @@ class TestPerRowHorizons:
             solo = ar_forecast(tiny_params, ForecastRequest(lookbacks[r], int(h)))
             np.testing.assert_array_equal(preds[r, :h], solo.predictions[0])
             assert np.isnan(preds[r, h:]).all()
-            assert mu[r] == solo.stats[0].mu
+            _, solo_mu, solo_scale = instance_normalize(lookbacks[r], 4, 3)
+            assert mu[r] == solo_mu[0] and scale[r] == solo_scale[0]
 
     def test_rows_retire_from_the_batch(self, tiny_params, rng, monkeypatch):
         batch_rows = []
@@ -151,26 +152,29 @@ class TestMultivariate:
     def test_duplicate_channel_identical_rows(self, tiny_params, rng):
         row = rng.normal(size=12)
         x = np.stack([row, row, rng.normal(size=12)])
-        out = forecast_multivariate(tiny_params, x, 8)
+        out = ar_forecast(tiny_params, ForecastRequest(x, 8)).predictions
         np.testing.assert_array_equal(out[0], out[1])
         assert not np.array_equal(out[0], out[2])
 
     def test_single_channel_matches_ar_forecast(self, tiny_params, rng):
-        row = rng.normal(size=(1, 12))
-        a = forecast_multivariate(tiny_params, row, 6)
-        b = ar_forecast(tiny_params, ForecastRequest(row, 6)).predictions
+        # a 1-D lookback is one channel
+        row = rng.normal(size=12)
+        a = ar_forecast(tiny_params, ForecastRequest(row, 6)).predictions
+        b = ar_forecast(tiny_params, ForecastRequest(row[None, :], 6)).predictions
+        assert a.shape == (1, 6)
         np.testing.assert_array_equal(a, b)
 
     def test_channel_permutation_equivariance(self, tiny_params, rng):
         x = rng.normal(size=(3, 12))
         perm = [2, 0, 1]
-        out = forecast_multivariate(tiny_params, x, 8)
-        out_perm = forecast_multivariate(tiny_params, x[perm], 8)
+        out = ar_forecast(tiny_params, ForecastRequest(x, 8)).predictions
+        out_perm = ar_forecast(tiny_params, ForecastRequest(x[perm], 8)).predictions
         np.testing.assert_array_equal(out_perm, out[perm])
 
     def test_stats_returned_per_channel(self, tiny_params, rng):
         x = rng.normal(size=(3, 12))
-        result = ar_forecast(tiny_params, ForecastRequest(x, 4))
-        assert len(result.stats) == 3
-        for c, stats in enumerate(result.stats):
-            assert stats.mu == pytest.approx(x[c].mean())
+        _, mu, scale, _ = _decode_batch(tiny_params, x, 4)
+        assert mu.shape == scale.shape == (3,)
+        for c in range(3):
+            assert mu[c] == pytest.approx(x[c].mean())
+            assert scale[c] == pytest.approx(x[c].std(), rel=1e-4)

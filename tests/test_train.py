@@ -44,11 +44,14 @@ def sine_series(name, period, length=400, channels=2, sigma=0.05, seed=0):
 
 
 class TestArLoss:
+    # mu = 0 and scale = 1 leave both sides in normalized space exactly
+    UNIT = dict(mu=np.array(0.0), scale=np.array(1.0))
+
     def test_perfect_prediction_zero_loss(self, rng):
         tokens = rng.normal(size=(3, 4))
         future = rng.normal(size=4)
         pred = np.concatenate([tokens[1:], future[None, :]], axis=0)
-        assert ar_loss(Tensor(pred), tokens, future).item() == 0.0
+        assert ar_loss(Tensor(pred), tokens, future, **self.UNIT).item() == 0.0
 
     def test_two_token_target_assembly(self):
         tokens = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -56,7 +59,7 @@ class TestArLoss:
         pred = np.zeros((2, 2))
         # target = [token 2, future token]; MSE = mean of squares
         expected = np.mean(np.array([3.0, 4.0, 5.0, 6.0]) ** 2)
-        assert ar_loss(Tensor(pred), tokens, future).item() == pytest.approx(expected)
+        assert ar_loss(Tensor(pred), tokens, future, **self.UNIT).item() == pytest.approx(expected)
 
     def test_matches_hand_mse(self, rng):
         tokens = rng.normal(size=(2, 3))
@@ -64,7 +67,8 @@ class TestArLoss:
         pred = rng.normal(size=(2, 3))
         target = np.vstack([tokens[1], future])
         expected = np.mean((pred - target) ** 2)
-        assert ar_loss(Tensor(pred), tokens, future).item() == pytest.approx(expected, rel=1e-12)
+        got = ar_loss(Tensor(pred), tokens, future, **self.UNIT).item()
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_denormalized_space(self, rng):
         tokens = rng.normal(size=(2, 3))
@@ -76,11 +80,6 @@ class TestArLoss:
         got = ar_loss(Tensor(pred), tokens, future,
                       mu=np.array(mu), scale=np.array(scale)).item()
         assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_needs_both_stats(self, rng):
-        with pytest.raises(ConfigError):
-            ar_loss(Tensor(np.zeros((2, 3))), np.zeros((2, 3)), np.zeros(3),
-                    mu=np.array(0.0))
 
 
 class TestPretrain:
