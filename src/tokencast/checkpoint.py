@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,18 +31,14 @@ from .model import (
     SCOPE_NON_HEAD,
     ModelConfig,
     ModelParams,
+    format_value,
     parameter_layout,
     params_from_arrays,
+    parse_field,
 )
 
 MAGIC = b"GPHT"
 VERSION = 1
-
-_CONFIG_FIELDS = (
-    "num_stages", "pool_kernels", "token_len", "max_tokens", "model_width",
-    "layers_per_stage", "attention_heads", "feedforward_width", "dropout_rate",
-    "seed",
-)
 
 
 @dataclass
@@ -70,14 +66,7 @@ def to_params(ckpt: Checkpoint) -> ModelParams:
 
 
 def _encode_config_block(config: ModelConfig, metadata: dict[str, str]) -> bytes:
-    lines = []
-    for name in _CONFIG_FIELDS:
-        value = getattr(config, name)
-        if name == "pool_kernels":
-            value = ",".join(str(k) for k in value)
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{name}={value}")
+    lines = [f"{f.name}={format_value(getattr(config, f.name))}" for f in fields(config)]
     for key in sorted(metadata):
         value = metadata[key]
         if "\n" in key or "=" in key or "\n" in str(value):
@@ -87,7 +76,7 @@ def _encode_config_block(config: ModelConfig, metadata: dict[str, str]) -> bytes
 
 
 def _decode_config_block(block: bytes) -> tuple[ModelConfig, dict[str, str]]:
-    fields: dict[str, str] = {}
+    values: dict[str, str] = {}
     metadata: dict[str, str] = {}
     for line in block.decode("utf-8").splitlines():
         if not line:
@@ -96,20 +85,10 @@ def _decode_config_block(block: bytes) -> tuple[ModelConfig, dict[str, str]]:
         if key.startswith("meta."):
             metadata[key[5:]] = value
         else:
-            fields[key] = value
+            values[key] = value
     try:
-        config = ModelConfig(
-            num_stages=int(fields["num_stages"]),
-            pool_kernels=tuple(int(k) for k in fields["pool_kernels"].split(",")),
-            token_len=int(fields["token_len"]),
-            max_tokens=int(fields["max_tokens"]),
-            model_width=int(fields["model_width"]),
-            layers_per_stage=int(fields["layers_per_stage"]),
-            attention_heads=int(fields["attention_heads"]),
-            feedforward_width=int(fields["feedforward_width"]),
-            dropout_rate=float(fields["dropout_rate"]),
-            seed=int(fields["seed"]),
-        )
+        config = ModelConfig(**{f.name: parse_field(f, values[f.name])
+                                for f in fields(ModelConfig)})
         config.validate()
     except (KeyError, ValueError) as exc:
         raise CheckpointFormatError(f"invalid config block: {exc}") from exc

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import checkpoint as ckpt_io
@@ -75,7 +76,7 @@ def cmd_pretrain(args) -> int:
     write_loss_curve(history, out_dir / "loss.csv")
     (out_dir / "resolved.cfg").write_text(
         render_resolved(model=model_cfg, train=train_cfg,
-                        data=run.sections.get("data")),
+                        data=run.resolved_data()),
         encoding="utf-8",
     )
     best = ckpt.metadata.get("best_val_mse", "nan")
@@ -103,7 +104,7 @@ def cmd_finetune(args) -> int:
     write_loss_curve(history, out_dir / "loss.csv")
     (out_dir / "resolved.cfg").write_text(
         render_resolved(model=tuned.config, train=train_cfg,
-                        data=run.sections.get("data")),
+                        data=run.resolved_data()),
         encoding="utf-8",
     )
     print(f"finetuned ({train_cfg.scope} scope), {len(history)} epochs")
@@ -157,7 +158,7 @@ def cmd_evaluate(args) -> int:
     combined = EvalReport(rows=rows, fingerprint=fingerprint)
     (out_dir / "report.csv").write_text(report_to_csv(combined), encoding="utf-8")
     (out_dir / "resolved.cfg").write_text(
-        render_resolved(data=run.sections.get("data"), eval_settings=settings),
+        render_resolved(data=run.resolved_data(), eval_settings=settings),
         encoding="utf-8",
     )
     print(format_table(combined))
@@ -179,10 +180,8 @@ def cmd_inspect(args) -> int:
     total = count_parameters(params, "all")
     head = count_parameters(params, "head")
     print(f"version = {ckpt.version}")
-    for key in ("num_stages", "pool_kernels", "token_len", "max_tokens",
-                "model_width", "layers_per_stage", "attention_heads",
-                "feedforward_width", "dropout_rate", "seed"):
-        print(f"{key} = {getattr(ckpt.config, key)}")
+    for f in fields(ckpt.config):
+        print(f"{f.name} = {getattr(ckpt.config, f.name)}")
     for key, value in sorted(ckpt.metadata.items()):
         print(f"meta.{key} = {value}")
     print(f"params.total = {total}")

@@ -1,16 +1,25 @@
 """Flat INI-style run configuration: typed key=value pairs under [model],
 [train], [data], [synth] and [eval] sections.
 
+The [model] and [train] keys are the fields of ``ModelConfig`` and
+``TrainConfig``, in field order, each parsed and formatted by the type of its
+default (``model.parse_field`` and ``format_value``). The one table here,
+``_MODEL_INI_KEYS``, names the four [model] keys that differ from their field
+(``stages``, ``width``, ``heads``, ``dropout``); every other key is its field
+name, so a field added to either dataclass is read, validated and written
+back without another edit.
+
 Unknown sections or keys are rejected. Every command echoes the fully
-resolved configuration (defaults included) into its output directory so a
-run can be reproduced from that file alone.
+resolved configuration (defaults included, dataset paths absolute) into its
+output directory so a run can be reproduced from that file alone.
 """
 
 from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import asdict
+from dataclasses import Field, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .data import (
@@ -23,29 +32,31 @@ from .data import (
     load_csv_dataset,
 )
 from .errors import ConfigError
-from .model import ModelConfig, paper_preset
+from .model import ModelConfig, format_value, paper_preset, parse_field
 from .train import TrainConfig
 
-_MODEL_KEYS = {
-    "stages", "pool_kernels", "token_len", "max_tokens", "width",
-    "layers_per_stage", "heads", "feedforward_width", "dropout", "seed",
+# config field -> INI key, for the fields whose key is not the field name
+_MODEL_INI_KEYS = {
+    "num_stages": "stages",
+    "model_width": "width",
+    "attention_heads": "heads",
+    "dropout_rate": "dropout",
 }
 _PRESET_STRUCTURAL_KEYS = {"stages", "pool_kernels", "token_len", "max_tokens",
                            "layers_per_stage"}
-_TRAIN_KEYS = {
-    "epochs", "batch_size", "learning_rate", "beta1", "beta2", "adam_eps",
-    "stride", "patience", "seed", "scope",
-}
-_DATA_KEYS = {"datasets", "split"}
-_SYNTH_KEYS = {"name", "length", "channels", "components", "seed"}
-_EVAL_KEYS = {"protocol", "horizons", "lookback", "stride", "fraction"}
+
+
+def _ini_fields(cls) -> dict[str, Field]:
+    """INI key -> dataclass field, in field order."""
+    return {_MODEL_INI_KEYS.get(f.name, f.name): f for f in fields(cls)}
+
 
 _SECTIONS = {
-    "model": _MODEL_KEYS,
-    "train": _TRAIN_KEYS,
-    "data": _DATA_KEYS,
-    "synth": _SYNTH_KEYS,
-    "eval": _EVAL_KEYS,
+    "model": _ini_fields(ModelConfig).keys(),
+    "train": _ini_fields(TrainConfig).keys(),
+    "data": {"datasets", "split"},
+    "synth": {"name", "length", "channels", "components", "seed"},
+    "eval": {"protocol", "horizons", "lookback", "stride", "fraction"},
 }
 
 
@@ -60,72 +71,43 @@ class RunConfig:
     # -- typed section views -------------------------------------------------
 
     def model_config(self, preset: str | None = None, seed: int | None = None) -> ModelConfig:
-        raw = self.sections.get("model", {})
         if preset == "paper":
-            clash = _PRESET_STRUCTURAL_KEYS & set(raw)
+            clash = _PRESET_STRUCTURAL_KEYS & set(self.sections.get("model", {}))
             if clash:
                 raise ConfigError(
                     f"--preset paper fixes {sorted(clash)}; remove them from [model]"
                 )
-            cfg = paper_preset()
+            base = paper_preset()
         elif preset is not None:
             raise ConfigError(f"unknown preset {preset!r}")
         else:
-            cfg = ModelConfig()
-        values = asdict(cfg)
-        mapping = {
-            "stages": ("num_stages", int),
-            "pool_kernels": ("pool_kernels", _int_tuple),
-            "token_len": ("token_len", int),
-            "max_tokens": ("max_tokens", int),
-            "width": ("model_width", int),
-            "layers_per_stage": ("layers_per_stage", int),
-            "heads": ("attention_heads", int),
-            "feedforward_width": ("feedforward_width", int),
-            "dropout": ("dropout_rate", float),
-            "seed": ("seed", int),
-        }
-        for key, (field_name, cast) in mapping.items():
-            if key in raw:
-                values[field_name] = _cast(cast, raw[key], "model", key)
-        if seed is not None:
-            values["seed"] = seed
-        cfg = ModelConfig(**values)
-        cfg.validate()
-        return cfg
+            base = ModelConfig()
+        return self._build("model", base, seed=seed)
 
     def train_config(self, seed: int | None = None,
                      scope: str | None = None) -> TrainConfig:
-        raw = self.sections.get("train", {})
-        values = asdict(TrainConfig())
-        casts = {
-            "epochs": int, "batch_size": int, "learning_rate": float,
-            "beta1": float, "beta2": float, "adam_eps": float,
-            "stride": int, "patience": int, "seed": int, "scope": str,
-        }
-        for key, cast in casts.items():
-            if key in raw:
-                values[key] = _cast(cast, raw[key], "train", key)
-        if seed is not None:
-            values["seed"] = seed
-        if scope is not None:
-            values["scope"] = scope
-        cfg = TrainConfig(**values)
+        return self._build("train", TrainConfig(), seed=seed, scope=scope)
+
+    def _build(self, section: str, base, **overrides):
+        """``base`` with the section's keys, then the non-None overrides,
+        applied; validated."""
+        raw = self.sections.get(section, {})
+        values = {f.name: _cast(partial(parse_field, f), raw[key], section, key)
+                  for key, f in _ini_fields(type(base)).items() if key in raw}
+        values.update((k, v) for k, v in overrides.items() if v is not None)
+        cfg = replace(base, **values)
         cfg.validate()
         return cfg
 
-    def load_datasets(self) -> list[tuple[MultivariateSeries, object]]:
-        """Load and split every entry of [data] datasets, in listed order.
+    def _dataset_paths(self) -> list[tuple[str, Path]]:
+        """(name, path) for every entry of [data] datasets, in listed order.
 
         Entries are ``name=path`` separated by ``;``; relative paths resolve
-        against the config file's directory. ``split`` gives the default
-        ratios; ``split.<name>`` overrides one dataset.
+        against the config file's directory.
         """
-        raw = self.sections.get("data", {})
-        spec = raw.get("datasets")
+        spec = self.get("data", "datasets")
         if not spec:
             raise ConfigError("[data] datasets is required (name=path;name=path)")
-        default_ratios = _ratio_triple(raw.get("split", "0.7,0.1,0.2"), "split")
         out = []
         for entry in spec.split(";"):
             entry = entry.strip()
@@ -134,18 +116,36 @@ class RunConfig:
             name, sep, path = entry.partition("=")
             if not sep or not name.strip() or not path.strip():
                 raise ConfigError(f"[data] datasets entry {entry!r} is not name=path")
-            name = name.strip()
             resolved = Path(path.strip())
-            if not resolved.is_absolute():
-                resolved = self.base_dir / resolved
-            series = load_csv_dataset(resolved, name)
+            out.append((name.strip(), resolved if resolved.is_absolute()
+                        else self.base_dir / resolved))
+        if not out:
+            raise ConfigError("[data] datasets lists no entries")
+        return out
+
+    def resolved_data(self) -> dict[str, str]:
+        """The [data] section with every dataset path as load_datasets opens it."""
+        body = dict(self.sections.get("data", {}))
+        body["datasets"] = ";".join(f"{name}={path}" for name, path in self._dataset_paths())
+        return body
+
+    def load_datasets(self) -> list[tuple[MultivariateSeries, object]]:
+        """Load and split every entry of [data] datasets, in listed order.
+
+        ``split`` gives the default ratios; ``split.<name>`` overrides one
+        dataset.
+        """
+        raw = self.sections.get("data", {})
+        entries = self._dataset_paths()
+        default_ratios = _ratio_triple(raw.get("split", "0.7,0.1,0.2"), "split")
+        out = []
+        for name, path in entries:
+            series = load_csv_dataset(path, name)
             ratios = default_ratios
             override = raw.get(f"split.{name}")
             if override is not None:
                 ratios = _ratio_triple(override, f"split.{name}")
             out.append((series, chronological_split(series, *ratios)))
-        if not out:
-            raise ConfigError("[data] datasets lists no entries")
         return out
 
     def synth_spec(self, seed: int | None = None) -> tuple[SynthSpec, int]:
@@ -193,10 +193,6 @@ def _cast(cast, value: str, section: str, key: str):
         return cast(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"[{section}] {key}={value!r}: {exc}") from exc
-
-
-def _int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
 
 
 def _ratio_triple(text: str, key: str) -> tuple[float, float, float]:
@@ -291,38 +287,24 @@ def render_resolved(
     eval_settings: dict | None = None,
 ) -> str:
     """Render the fully resolved configuration for the run directory."""
+    sections = {
+        "model": _ini_values(model),
+        "train": _ini_values(train),
+        "data": data,
+        "synth": synth,
+        "eval": eval_settings,
+    }
     lines: list[str] = []
-    if model is not None:
-        lines.append("[model]")
-        lines.append(f"stages = {model.num_stages}")
-        lines.append(f"pool_kernels = {','.join(str(k) for k in model.pool_kernels)}")
-        lines.append(f"token_len = {model.token_len}")
-        lines.append(f"max_tokens = {model.max_tokens}")
-        lines.append(f"width = {model.model_width}")
-        lines.append(f"layers_per_stage = {model.layers_per_stage}")
-        lines.append(f"heads = {model.attention_heads}")
-        lines.append(f"feedforward_width = {model.feedforward_width}")
-        lines.append(f"dropout = {model.dropout_rate!r}")
-        lines.append(f"seed = {model.seed}")
-        lines.append("")
-    if train is not None:
-        lines.append("[train]")
-        for key, value in asdict(train).items():
-            lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
-        lines.append("")
-    for name, body in (("data", data), ("synth", synth)):
+    for name, body in sections.items():
         if body:
             lines.append(f"[{name}]")
-            for key, value in body.items():
-                lines.append(f"{key} = {value}")
+            lines.extend(f"{key} = {format_value(value)}"
+                         for key, value in body.items() if value is not None)
             lines.append("")
-    if eval_settings is not None:
-        lines.append("[eval]")
-        lines.append(f"protocol = {eval_settings['protocol']}")
-        lines.append(f"horizons = {','.join(str(h) for h in eval_settings['horizons'])}")
-        lines.append(f"lookback = {eval_settings['lookback']}")
-        lines.append(f"stride = {eval_settings['stride']}")
-        if eval_settings.get("fraction") is not None:
-            lines.append(f"fraction = {eval_settings['fraction']!r}")
-        lines.append("")
     return "\n".join(lines)
+
+
+def _ini_values(cfg) -> dict | None:
+    if cfg is None:
+        return None
+    return {key: getattr(cfg, f.name) for key, f in _ini_fields(type(cfg)).items()}

@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-Each maps to a stable CLI exit code (see cli.EXIT_CODES).
+Each maps to a stable CLI exit code (see the ``cli`` module docstring and
+its ``EXIT_*`` constants).
 """
 
 

@@ -129,6 +129,8 @@ def evaluate(
         raise ConfigError(f"horizons must be >= 1, got {sorted(horizons)}")
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
+    if lookback_len < 1:
+        raise ConfigError(f"lookback must be >= 1, got {lookback_len}")
     if forecast_fn is None:
         if ckpt is None:
             raise ConfigError("evaluate needs a checkpoint or a forecast_fn")

@@ -51,10 +51,11 @@ def _decode_batch(params: ModelParams, lookbacks: np.ndarray, horizon: int,
 
     Rows are independent: every kernel is row-local, so batched decoding is
     bit-identical to one-at-a-time decoding. ``horizons`` optionally gives
-    each row its own horizon, the longest of them equal to ``horizon``: a row
-    retires from the batch once its own horizon is decoded, so later steps
-    run on fewer rows, and its output past its own horizon is NaN. The
-    returned step count is the longest row's.
+    each row its own horizon, non-increasing down the rows and starting at
+    ``horizon``: a row retires from the batch once its own horizon is
+    decoded, so later steps run on a shrinking prefix of the rows, and its
+    output past its own horizon is NaN. The returned step count is the
+    longest row's.
     """
     cfg = params.config
     t_len = cfg.token_len
@@ -70,15 +71,12 @@ def _decode_batch(params: ModelParams, lookbacks: np.ndarray, horizon: int,
     if horizons is not None:
         horizons = np.asarray(horizons)
         if (horizons.shape != (rows,) or horizons.min(initial=1) < 1
-                or horizons.max(initial=0) != horizon):
+                or horizons.max(initial=0) != horizon or np.any(np.diff(horizons) > 0)):
             raise ConfigError(
-                f"per-row horizons must be {rows} values in [1, {horizon}] "
-                f"reaching {horizon}"
+                f"per-row horizons must be {rows} non-increasing values in "
+                f"[1, {horizon}] reaching {horizon}"
             )
-        # longest rows first, so the rows still decoding are always a prefix
-        order = np.argsort(-horizons, kind="stable")
-        ctx = ctx[order]
-        row_steps = -(-horizons[order] // t_len)
+        row_steps = -(-horizons // t_len)
         active = [int(np.count_nonzero(row_steps > s)) for s in range(steps)]
     decoded = np.full((rows, steps * t_len), np.nan)
     with no_grad():
@@ -90,7 +88,6 @@ def _decode_batch(params: ModelParams, lookbacks: np.ndarray, horizon: int,
             decoded[:n, s * t_len:(s + 1) * t_len] = next_token[..., 0, :]
             ctx = np.concatenate([ctx, next_token], axis=-2)
     if horizons is not None:
-        decoded[order] = decoded.copy()
         decoded[np.arange(steps * t_len) >= horizons[:, None]] = np.nan
     return denormalize(decoded[:, :horizon], mu, scale), mu[..., 0], scale[..., 0], steps
 

@@ -16,7 +16,7 @@ parameter-efficient tuning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import Field, dataclass, field, replace
 
 import numpy as np
 
@@ -83,6 +83,21 @@ class ModelConfig:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
 
 
+def parse_field(f: Field, text: str):
+    """A config field's value from its text, by the type of its default;
+    a tuple default means comma-separated ints."""
+    if isinstance(f.default, tuple):
+        return tuple(int(v) for v in text.split(","))
+    return type(f.default)(text)
+
+
+def format_value(value) -> str:
+    """The text parse_field reads back: sequences comma-joined, floats by repr."""
+    if isinstance(value, (tuple, list)):
+        return ",".join(str(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def paper_preset(**overrides) -> ModelConfig:
     """Reference 4-stage configuration: T=48, 7-token context, kernels 8/4/2/1,
     three layers per stage. Width and head count stay whatever the caller sets.
@@ -115,8 +130,6 @@ class StageActivation:
 
     stage_input: Tensor       # (..., L', T) tokens the stage received
     pooled: Tensor            # (..., L', T/k)
-    hidden_in: Tensor         # (..., L', d) after embed + position
-    hidden_out: Tensor        # (..., L', d) after the transformer stack
     prediction: Tensor        # (..., L', T): position j predicts token j+1
 
 
@@ -298,17 +311,13 @@ def stage_forward(
 
     pooled = max_pool_within_token(tokens, k)
     embedded = add(matmul(pooled, a[pre + "embed.weight"]), a[pre + "embed.bias"])
-    h_in = add(embedded, slice_rows(a[pre + "pos_table"], n))
-    h = h_in
+    h = add(embedded, slice_rows(a[pre + "pos_table"], n))
     for l in range(cfg.layers_per_stage):
         h = _transformer_layer(h, params, f"{pre}layer{l}.", rng)
-    h_out = layer_norm(h, a[pre + "final_ln.gain"], a[pre + "final_ln.bias"])
-    small = add(matmul(h_out, a[pre + "head.weight"]), a[pre + "head.bias"])
+    h = layer_norm(h, a[pre + "final_ln.gain"], a[pre + "final_ln.bias"])
+    small = add(matmul(h, a[pre + "head.weight"]), a[pre + "head.bias"])
     prediction = linear_interp_upsample(small, cfg.token_len)
-    return StageActivation(
-        stage_input=tokens, pooled=pooled, hidden_in=h_in,
-        hidden_out=h_out, prediction=prediction,
-    )
+    return StageActivation(stage_input=tokens, pooled=pooled, prediction=prediction)
 
 
 def model_forward(

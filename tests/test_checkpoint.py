@@ -1,5 +1,5 @@
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,8 +13,10 @@ from tokencast.checkpoint import (
     serialize,
     to_params,
 )
+from tokencast.config import parse_run_config, render_resolved
 from tokencast.errors import CheckpointFormatError, CheckpointVersionError, DataError
 from tokencast.model import ModelConfig, init_model
+from tokencast.train import TrainConfig
 
 
 def small_checkpoint():
@@ -120,6 +122,37 @@ class TestConfigAgreement:
             load_checkpoint(tmp_path)
 
 
+class TestConfigRoundTrip:
+    # every field differs from its default
+    MODEL = ModelConfig(num_stages=3, pool_kernels=(6, 3, 1), token_len=6, max_tokens=5,
+                        model_width=12, layers_per_stage=3, attention_heads=3,
+                        feedforward_width=20, dropout_rate=0.25, seed=11)
+    TRAIN = TrainConfig(epochs=7, batch_size=5, learning_rate=3e-4, beta1=0.8, beta2=0.99,
+                        adam_eps=1e-7, stride=2, patience=9, seed=13, scope="head")
+    RESOLVED = (
+        "[model]\nstages = 3\npool_kernels = 6,3,1\ntoken_len = 6\nmax_tokens = 5\n"
+        "width = 12\nlayers_per_stage = 3\nheads = 3\nfeedforward_width = 20\n"
+        "dropout = 0.25\nseed = 11\n\n"
+        "[train]\nepochs = 7\nbatch_size = 5\nlearning_rate = 0.0003\nbeta1 = 0.8\n"
+        "beta2 = 0.99\nadam_eps = 1e-07\nstride = 2\npatience = 9\nseed = 13\n"
+        "scope = head\n"
+    )
+
+    def test_every_field_survives(self, tmp_path):
+        for cfg in (self.MODEL, self.TRAIN):
+            for f in fields(cfg):
+                assert getattr(cfg, f.name) != f.default, f.name
+        back = deserialize(serialize(from_params(init_model(self.MODEL))))
+        assert back.config == self.MODEL
+        text = render_resolved(model=self.MODEL, train=self.TRAIN)
+        assert text == self.RESOLVED
+        cfg = tmp_path / "resolved.cfg"
+        cfg.write_text(text)
+        run = parse_run_config(cfg)
+        assert run.model_config() == self.MODEL
+        assert run.train_config() == self.TRAIN
+
+
 class TestWireFormat:
     def test_header_layout(self):
         data = serialize(small_checkpoint())
@@ -127,8 +160,13 @@ class TestWireFormat:
         assert struct.unpack("<I", data[4:8])[0] == 1
         block_len = struct.unpack("<Q", data[8:16])[0]
         block = data[16:16 + block_len].decode("utf-8")
-        assert "token_len=4" in block
-        assert "meta.train_sources=a,b" in block
+        assert block == (
+            "num_stages=2\npool_kernels=2,1\ntoken_len=4\nmax_tokens=3\n"
+            "model_width=6\nlayers_per_stage=1\nattention_heads=2\n"
+            "feedforward_width=8\ndropout_rate=0.0\nseed=3\n"
+            "meta.best_val_mse=0.125\nmeta.epoch=7\nmeta.seed=3\n"
+            "meta.train_sources=a,b"
+        )
 
     def test_scope_codes_present(self):
         ckpt = small_checkpoint()

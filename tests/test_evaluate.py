@@ -182,12 +182,16 @@ class TestEvaluate:
         finally:
             sys.setswitchinterval(old)
 
-    @pytest.mark.parametrize("horizons,stride", [([0, 8], 1), ([8], 0), ([8], -2)])
-    def test_bad_horizon_or_stride_rejected(self, tiny_ckpt, horizons, stride):
+    @pytest.mark.parametrize(
+        "horizons,stride,lookback",
+        [([0, 8], 1, 12), ([8], 0, 12), ([8], -2, 12), ([8], 1, 0), ([8], 1, -5)],
+        ids=["horizons0-1", "horizons1-0", "horizons2--2", "lookback0", "lookback-5"],
+    )
+    def test_bad_horizon_or_stride_rejected(self, tiny_ckpt, horizons, stride, lookback):
         series = sine_series("t", 48, length=300, seed=3)
         split = chronological_split(series, 0.6, 0.2, 0.2)
-        with pytest.raises(ConfigError, match="horizons|stride"):
-            evaluate(tiny_ckpt, series, split, horizons, lookback_len=12, stride=stride)
+        with pytest.raises(ConfigError, match="horizons|stride|lookback"):
+            evaluate(tiny_ckpt, series, split, horizons, lookback_len=lookback, stride=stride)
 
     def test_forecast_fn_output_shape_checked(self):
         series = sine_series("s", 24, length=400, channels=2)

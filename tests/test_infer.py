@@ -115,7 +115,7 @@ class TestDecodeBehavior:
 
 
 class TestPerRowHorizons:
-    HORIZONS = np.array([9, 4, 13, 1, 13, 6])  # token_len 4: 3, 1, 4, 1, 4, 2 steps
+    HORIZONS = np.array([13, 13, 9, 6, 4, 1])  # token_len 4: 4, 4, 3, 2, 1, 1 steps
 
     def test_rows_match_solo_forecasts(self, tiny_params, rng):
         lookbacks = rng.normal(size=(6, 12))
@@ -141,9 +141,10 @@ class TestPerRowHorizons:
         _decode_batch(tiny_params, rng.normal(size=(6, 12)), 13, horizons=self.HORIZONS)
         assert batch_rows == [6, 4, 3, 2]
 
-    @pytest.mark.parametrize("horizons", [[4, 13], [0, 13, 5], [13, 14, 5], [4, 8, 12]])
+    @pytest.mark.parametrize("horizons", [[4, 13], [0, 13, 5], [13, 14, 5], [4, 8, 12],
+                                          [13, 4, 5]])
     def test_bad_row_horizons(self, tiny_params, horizons):
-        # one per row, each in [1, 13], the longest exactly 13
+        # one per row, each in [1, 13], non-increasing, the longest exactly 13
         with pytest.raises(ConfigError):
             _decode_batch(tiny_params, np.zeros((3, 12)), 13, horizons=np.array(horizons))
 
