@@ -24,7 +24,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 from scipy.special import erf
@@ -468,29 +469,20 @@ def mse(pred: Tensor, target) -> Tensor:
 
 @dataclass
 class AdamState:
-    """Per-parameter Adam accumulator (bias-corrected update)."""
+    """Per-parameter Adam accumulator (bias-corrected update).
 
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    step: int = 0
-    first_moment: np.ndarray = field(default=None)  # type: ignore[assignment]
-    second_moment: np.ndarray = field(default=None)  # type: ignore[assignment]
+    ``settings`` supplies ``learning_rate``, ``beta1``, ``beta2`` and
+    ``adam_eps``; ``train.TrainConfig`` declares them and their defaults.
+    """
+
+    settings: Any
+    step: int
+    first_moment: np.ndarray
+    second_moment: np.ndarray
 
     @classmethod
-    def for_param(cls, param: Tensor, learning_rate: float = 1e-3,
-                  beta1: float = 0.9, beta2: float = 0.999,
-                  epsilon: float = 1e-8) -> "AdamState":
-        return cls(
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-            step=0,
-            first_moment=np.zeros_like(param.values),
-            second_moment=np.zeros_like(param.values),
-        )
+    def for_param(cls, param: Tensor, settings) -> "AdamState":
+        return cls(settings, 0, np.zeros_like(param.values), np.zeros_like(param.values))
 
 
 def adam_step(param: Tensor, state: AdamState) -> None:
@@ -498,11 +490,12 @@ def adam_step(param: Tensor, state: AdamState) -> None:
     if param.grad is None:
         raise ValueError("adam_step requires param.grad; run backward first")
     g = param.grad
+    cfg = state.settings
     state.step += 1
-    state.first_moment *= state.beta1
-    state.first_moment += (1.0 - state.beta1) * g
-    state.second_moment *= state.beta2
-    state.second_moment += (1.0 - state.beta2) * (g * g)
-    m_hat = state.first_moment / (1.0 - state.beta1 ** state.step)
-    v_hat = state.second_moment / (1.0 - state.beta2 ** state.step)
-    param.values -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.first_moment *= cfg.beta1
+    state.first_moment += (1.0 - cfg.beta1) * g
+    state.second_moment *= cfg.beta2
+    state.second_moment += (1.0 - cfg.beta2) * (g * g)
+    m_hat = state.first_moment / (1.0 - cfg.beta1 ** state.step)
+    v_hat = state.second_moment / (1.0 - cfg.beta2 ** state.step)
+    param.values -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)

@@ -133,10 +133,14 @@ class RunConfig:
         """Load and split every entry of [data] datasets, in listed order.
 
         ``split`` gives the default ratios; ``split.<name>`` overrides one
-        dataset.
+        dataset, and must name a listed one.
         """
         raw = self.sections.get("data", {})
         entries = self._dataset_paths()
+        names = {name for name, _ in entries}
+        for key in raw:
+            if key.startswith("split.") and key[len("split."):] not in names:
+                raise ConfigError(f"[data] {key} names no dataset in [data] datasets")
         default_ratios = _ratio_triple(raw.get("split", "0.7,0.1,0.2"), "split")
         out = []
         for name, path in entries:

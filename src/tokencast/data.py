@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError
 
@@ -56,12 +57,6 @@ class MixedDataset:
     segments: list[Segment]
     role: str
     skipped: int = 0
-
-
-@dataclass(frozen=True)
-class WindowPair:
-    lookback: np.ndarray
-    target: np.ndarray
 
 
 def load_csv_dataset(path, name: str) -> MultivariateSeries:
@@ -172,28 +167,22 @@ def sample_windows(
     horizon_len: int,
     stride: int = 1,
     seed: int = 0,
-) -> list[WindowPair]:
-    """Enumerate (lookback, target) pairs inside every segment, then shuffle.
+) -> np.ndarray:
+    """Every window inside every segment, shuffled: a float64 array of shape
+    (N, lookback_len + horizon_len), lookback first, then the target.
 
     Starts at offsets 0, stride, 2*stride, ... within each segment; segments
-    shorter than lookback_len + horizon_len contribute nothing. The global
-    order is a seeded permutation, so one seed = one epoch order.
+    shorter than lookback_len + horizon_len contribute nothing, and no
+    windows at all gives shape (0, span). Rows are in (segment, start) order
+    gathered by a seeded permutation, so one seed = one epoch order.
     """
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
-    pairs: list[WindowPair] = []
     span = lookback_len + horizon_len
-    for seg in mixed.segments:
-        n = len(seg.values)
-        for start in range(0, n - span + 1, stride):
-            pairs.append(
-                WindowPair(
-                    lookback=seg.values[start:start + lookback_len],
-                    target=seg.values[start + lookback_len:start + span],
-                )
-            )
-    order = np.random.default_rng(seed).permutation(len(pairs))
-    return [pairs[i] for i in order]
+    windows = [sliding_window_view(seg.values, span)[::stride]
+               for seg in mixed.segments if len(seg.values) >= span]
+    rows = np.concatenate(windows) if windows else np.empty((0, span))
+    return rows[np.random.default_rng(seed).permutation(len(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +224,8 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> MultivariateSeries:
         raise ConfigError(f"synthetic length must be positive, got {spec.length}")
     if spec.channels <= 0:
         raise ConfigError(f"channel count must be positive, got {spec.channels}")
+    if seed < 0:
+        raise ConfigError(f"synthetic seed must be >= 0, got {seed}")
     for comp in spec.components:
         if isinstance(comp, SineComponent) and comp.period <= 0:
             raise ConfigError(f"sine period must be positive, got {comp.period}")

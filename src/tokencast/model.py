@@ -57,8 +57,12 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.num_stages < 1:
-            raise ConfigError(f"num_stages must be >= 1, got {self.num_stages}")
+        for name in ("num_stages", "token_len", "max_tokens", "model_width",
+                     "layers_per_stage", "attention_heads", "feedforward_width"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if len(self.pool_kernels) != self.num_stages:
             raise ConfigError(
                 f"expected {self.num_stages} pool kernels, got {self.pool_kernels}"
@@ -68,17 +72,11 @@ class ModelConfig:
                 raise ConfigError(
                     f"pool kernel {k} must divide token length {self.token_len}"
                 )
-        if self.max_tokens < 1:
-            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if self.model_width % self.attention_heads != 0:
             raise ConfigError(
                 f"width {self.model_width} not divisible by "
                 f"{self.attention_heads} attention heads"
             )
-        if self.layers_per_stage < 1:
-            raise ConfigError("layers_per_stage must be >= 1")
-        if self.feedforward_width < 1:
-            raise ConfigError("feedforward_width must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import AdamState, Tensor, adam_step, add, backward, mse, mul, no_grad
 from .checkpoint import Checkpoint, from_params, to_params
-from .data import MixedDataset, WindowPair, sample_windows
+from .data import MixedDataset, sample_windows
 from .errors import ConfigError, NumericAbort
 from .model import ModelConfig, ModelParams, init_model, model_forward
 from .preprocess import denormalize, instance_normalize
@@ -39,10 +39,10 @@ class TrainConfig:
     scope: str = "all"  # "all" or "head"
 
     def validate(self) -> None:
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("stride", 1),
+                          ("patience", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}")
@@ -51,10 +51,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
             raise ConfigError(f"adam_eps must be positive and finite, got {self.adam_eps}")
-        if self.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.scope not in ("all", "head"):
             raise ConfigError(f"scope must be 'all' or 'head', got {self.scope!r}")
 
@@ -85,16 +81,12 @@ def ar_loss(
     return mse(y_pred, denormalize(target, mu, scale))
 
 
-def _batch_arrays(batch: list[WindowPair]) -> tuple[np.ndarray, np.ndarray]:
-    lb = np.stack([w.lookback for w in batch])
-    tg = np.stack([w.target for w in batch])
-    return lb, tg
-
-
-def _batch_loss(params: ModelParams, batch: list[WindowPair],
+def _batch_loss(params: ModelParams, batch: np.ndarray,
                 rng: np.random.Generator | None = None) -> Tensor:
+    """AR loss on (B, span) window rows: the last token_len columns are the
+    future token, every column before them the lookback."""
     cfg = params.config
-    lb, tg = _batch_arrays(batch)
+    lb, tg = batch[:, :-cfg.token_len], batch[:, -cfg.token_len:]
     tokens, mu, scale = instance_normalize(lb, cfg.token_len, cfg.max_tokens)
     next_token = (tg - mu) / scale
     out = model_forward(params, tokens, rng=rng)
@@ -102,19 +94,18 @@ def _batch_loss(params: ModelParams, batch: list[WindowPair],
                    mu=mu[..., None], scale=scale[..., None])
 
 
-def _mean_window_mse(params: ModelParams, windows: list[WindowPair],
+def _mean_window_mse(params: ModelParams, windows: np.ndarray,
                      batch_size: int) -> float:
-    """Forward-only AR loss over a window list, element-weighted."""
-    if not windows:
+    """Forward-only AR loss over window rows, element-weighted."""
+    if not len(windows):
         return float("nan")
-    total, count = 0.0, 0
+    total = 0.0
     with no_grad():
         for lo in range(0, len(windows), batch_size):
             batch = windows[lo:lo + batch_size]
             loss = float(_batch_loss(params, batch).values)
             total += loss * len(batch)
-            count += len(batch)
-    return total / count
+    return total / len(windows)
 
 
 def _sources_of(mixed: MixedDataset) -> list[str]:
@@ -130,10 +121,13 @@ def _fit(
     train_config: TrainConfig,
     train_mixed: MixedDataset,
     val_mixed: MixedDataset,
-) -> tuple[dict[str, np.ndarray], list[EpochStats], int, float]:
+) -> tuple[list[EpochStats], dict[str, str]]:
     """Adam over the configured scope with validation-best early stopping.
 
-    Returns (best arrays, per-epoch history, best epoch, best val MSE).
+    Leaves ``params`` at the arrays with the best validation MSE (the initial
+    arrays, epoch 0, if no epoch improves on them). Returns the per-epoch
+    history and the checkpoint metadata of that choice: ``epoch``,
+    ``best_val_mse``, ``seed`` and ``scope``.
     """
     cfg = params.config
     lookback_len = cfg.max_tokens * cfg.token_len
@@ -148,7 +142,7 @@ def _fit(
         )
     val_windows = sample_windows(val_mixed, lookback_len, horizon_len,
                                  stride=train_config.stride, seed=0)
-    if not val_windows:
+    if not len(val_windows):
         raise ConfigError(
             f"no validation windows: need segments of at least {span} points"
         )
@@ -159,14 +153,7 @@ def _fit(
     for name, t in params.arrays.items():
         t.requires_grad = name in trainable
         t.zero_grad()
-    states = {
-        name: AdamState.for_param(
-            t, learning_rate=train_config.learning_rate,
-            beta1=train_config.beta1, beta2=train_config.beta2,
-            epsilon=train_config.adam_eps,
-        )
-        for name, t in trainable.items()
-    }
+    states = {name: AdamState.for_param(t, train_config) for name, t in trainable.items()}
 
     best_arrays = {n: t.values.copy() for n, t in params.arrays.items()}
     best_val = _mean_window_mse(params, val_windows, train_config.batch_size)
@@ -180,7 +167,7 @@ def _fit(
                                  stride=train_config.stride, seed=epoch_seed)
         drop_rng = (np.random.default_rng(epoch_seed)
                     if cfg.dropout_rate > 0.0 else None)
-        total, count = 0.0, 0
+        total = 0.0
         for batch_idx, lo in enumerate(range(0, len(windows), train_config.batch_size)):
             batch = windows[lo:lo + train_config.batch_size]
             loss = _batch_loss(params, batch, rng=drop_rng)
@@ -198,9 +185,8 @@ def _fit(
             for name, t in trainable.items():
                 adam_step(t, states[name])
             total += loss_value * len(batch)
-            count += len(batch)
 
-        train_mse = total / count
+        train_mse = total / len(windows)
         val_mse = _mean_window_mse(params, val_windows, train_config.batch_size)
         history.append(EpochStats(epoch=epoch, train_mse=train_mse, val_mse=val_mse))
         if val_mse < best_val:
@@ -213,7 +199,14 @@ def _fit(
             if stall >= train_config.patience:
                 break
 
-    return best_arrays, history, best_epoch, best_val
+    for name, t in params.arrays.items():
+        t.values = best_arrays[name]
+    return history, {
+        "epoch": str(best_epoch),
+        "best_val_mse": repr(float(best_val)),
+        "seed": str(train_config.seed),
+        "scope": train_config.scope,
+    }
 
 
 def pretrain(
@@ -231,18 +224,8 @@ def pretrain(
         raise ConfigError("pretraining updates all parameters; scope must be 'all'")
     model_config.validate()
     params = init_model(model_config)
-    best_arrays, history, best_epoch, best_val = _fit(
-        params, train_config, train_mixed, val_mixed
-    )
-    for name, t in params.arrays.items():
-        t.values = best_arrays[name]
-    metadata = {
-        "epoch": str(best_epoch),
-        "best_val_mse": repr(float(best_val)),
-        "seed": str(train_config.seed),
-        "scope": "all",
-        "train_sources": ",".join(_sources_of(train_mixed)),
-    }
+    history, metadata = _fit(params, train_config, train_mixed, val_mixed)
+    metadata["train_sources"] = ",".join(_sources_of(train_mixed))
     return from_params(params, metadata), history
 
 
@@ -260,19 +243,9 @@ def finetune_heads(
     """
     train_config.validate()
     params = to_params(ckpt)
-    best_arrays, history, best_epoch, best_val = _fit(
-        params, train_config, train_mixed, val_mixed
-    )
-    for name, t in params.arrays.items():
-        t.values = best_arrays[name]
-    metadata = dict(ckpt.metadata)
-    metadata.update({
-        "epoch": str(best_epoch),
-        "best_val_mse": repr(float(best_val)),
-        "seed": str(train_config.seed),
-        "scope": train_config.scope,
-        "finetuned_on": ",".join(_sources_of(train_mixed)),
-    })
+    history, fit_metadata = _fit(params, train_config, train_mixed, val_mixed)
+    metadata = {**ckpt.metadata, **fit_metadata,
+                "finetuned_on": ",".join(_sources_of(train_mixed))}
     return from_params(params, metadata), history
 
 

@@ -27,6 +27,7 @@ from tokencast.autodiff import (
     swap_axes,
 )
 from tokencast.errors import ConfigError, ShapeError
+from tokencast.train import TrainConfig
 
 from conftest import central_difference, check_gradient, relative_error
 
@@ -325,7 +326,7 @@ class TestBackward:
         x_grad, y_grad = x.grad, y.grad
         snapshot = (x_grad.copy(), y_grad.copy())
         y_values = y.values.copy()
-        adam_step(x, AdamState.for_param(x, learning_rate=0.1))
+        adam_step(x, AdamState.for_param(x, TrainConfig(learning_rate=0.1)))
         np.testing.assert_array_equal(y.grad, snapshot[1])
         backward(mse(add(x, y), target))
         np.testing.assert_array_equal(x_grad, snapshot[0])
@@ -384,7 +385,7 @@ class TestAdam:
     def test_zero_gradient_no_move(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.zeros(2)
-        state = AdamState.for_param(p, learning_rate=0.1)
+        state = AdamState.for_param(p, TrainConfig(learning_rate=0.1))
         adam_step(p, state)
         np.testing.assert_array_equal(p.values, [1.0, -2.0])
         assert state.step == 1
@@ -394,20 +395,20 @@ class TestAdam:
         # -lr * g / (|g| + eps) = -0.1 / (1 + 1e-8)
         p = Tensor(np.array([0.0]), requires_grad=True)
         p.grad = np.array([1.0])
-        adam_step(p, AdamState.for_param(p, learning_rate=0.1))
+        adam_step(p, AdamState.for_param(p, TrainConfig(learning_rate=0.1)))
         assert p.values[0] == pytest.approx(-0.1 / (1.0 + 1e-8), rel=1e-12)
 
     def test_missing_gradient_rejected(self):
         p = Tensor(np.zeros(2), requires_grad=True)
         with pytest.raises(ValueError, match="grad"):
-            adam_step(p, AdamState.for_param(p))
+            adam_step(p, AdamState.for_param(p, TrainConfig()))
 
     def test_deterministic(self, rng):
         runs = []
         for _ in range(2):
             r = np.random.default_rng(7)
             p = Tensor(r.normal(size=5), requires_grad=True)
-            state = AdamState.for_param(p, learning_rate=0.01)
+            state = AdamState.for_param(p, TrainConfig(learning_rate=0.01))
             for _ in range(10):
                 p.grad = p.values * 2.0
                 adam_step(p, state)

@@ -5,10 +5,11 @@ import pytest
 
 from tokencast.cli import main
 from tokencast.checkpoint import from_params, load_checkpoint, save_checkpoint
-from tokencast.config import parse_components, parse_run_config
+from tokencast.config import _ini_fields, parse_components, parse_run_config
 from tokencast.data import NoiseComponent, SineComponent, TrendComponent
 from tokencast.errors import ConfigError, ShapeError
 from tokencast.model import ModelConfig, init_model
+from tokencast.train import TrainConfig
 
 TINY_MODEL_SECTION = """\
 [model]
@@ -76,6 +77,14 @@ class TestSynth:
         assert main(["--seed", "1", "synth", str(cfg), str(a)]) == 0
         assert main(["--seed", "2", "synth", str(cfg), str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("[synth]\nlength = 50\ncomponents = noise(sigma=1.0)\nseed = -2\n")
+        assert main(["synth", str(cfg), str(tmp_path / "a.csv")]) == 2
+        cfg.write_text("[synth]\nlength = 50\ncomponents = noise(sigma=1.0)\n")
+        assert main(["--seed", "-1", "synth", str(cfg), str(tmp_path / "b.csv")]) == 2
+        assert capsys.readouterr().err.count("seed must be >= 0") == 2
 
 
 class TestComponentParsing:
@@ -155,6 +164,37 @@ class TestPretrainCommand:
         cfg.write_text(cfg.read_text().replace("[train]\n", f"[train]\n{setting}\n"))
         assert main(["pretrain", str(cfg), str(tmp_path / "out")]) == 2
         assert setting.split(" =")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section, cls in (("model", ModelConfig), ("train", TrainConfig))
+        for key in _ini_fields(cls)
+    ])
+    def test_every_field_value_exits_0_or_2(self, tmp_path, synth_csv, capsys, section, key):
+        # every [model]/[train] field, including fields added later, must
+        # either run or be rejected as a config error, never a traceback
+        bodies = {"model": TINY_MODEL_SECTION,
+                  "train": TRAIN_SECTION.replace("epochs = 2", "epochs = 1")}
+        for value in ("0", "-1", "abc"):
+            lines = [line for line in bodies[section].splitlines()
+                     if not line.startswith(f"{key} =")]
+            lines.insert(1, f"{key} = {value}")
+            text = "\n".join(lines) + "\n" + bodies["train" if section == "model" else "model"]
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text(text + f"[data]\ndatasets = mix={synth_csv.name}\n")
+            code = main(["pretrain", str(cfg), str(tmp_path / f"out{value}")])
+            err = capsys.readouterr().err
+            assert code in (0, 2), f"[{section}] {key} = {value}: exit {code}"
+            assert code == 0 or err.startswith("config error:"), err
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, synth_csv, capsys):
+        cfg = write_train_cfg(tmp_path, synth_csv)
+        assert main(["--seed", "-1", "pretrain", str(cfg), str(tmp_path / "out")]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_split_for_unlisted_dataset_exits_2(self, tmp_path, synth_csv, capsys):
+        cfg = write_train_cfg(tmp_path, synth_csv, extra="split.mx = 0.6,0.2,0.2\n")
+        assert main(["pretrain", str(cfg), str(tmp_path / "out")]) == 2
+        assert "[data] split.mx names no dataset" in capsys.readouterr().err
 
     def test_missing_dataset_exits_3(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -316,6 +356,13 @@ class TestEvaluateCommand:
         assert main(["evaluate", str(pretrained), str(cfg), str(tmp_path / "h")]) == 2
         assert "[eval] horizons='abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_threads_exits_2(self, tmp_path, synth_csv, pretrained, capsys, threads):
+        cfg = self.eval_cfg(tmp_path, synth_csv)
+        assert main(["--threads", threads, "evaluate", str(pretrained), str(cfg),
+                     str(tmp_path / "t")]) == 2
+        assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+
     def test_shape_error_exits_3(self, tmp_path, synth_csv, pretrained, monkeypatch,
                                  capsys):
         def mismatched(*args, **kwargs):
@@ -361,6 +408,14 @@ class TestCheckpointValidation:
     def test_bad_pool_kernels_exits_3(self, tmp_path):
         path = self.write_checkpoint(tmp_path, pool_kernels=(3, 1))
         assert main(["inspect", str(path)]) == 3
+
+    @pytest.mark.parametrize("field,value", [
+        ("attention_heads", 0), ("token_len", 0), ("model_width", 0), ("seed", -1),
+    ])
+    def test_unbuildable_config_block_exits_3(self, tmp_path, capsys, field, value):
+        path = self.write_checkpoint(tmp_path, **{field: value})
+        assert main(["inspect", str(path)]) == 3
+        assert "invalid config block" in capsys.readouterr().err
 
     def test_directory_as_checkpoint_exits_3(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path)]) == 3

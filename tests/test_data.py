@@ -148,19 +148,23 @@ class TestSampleWindows:
         assert len(windows) == 5
 
     def test_too_short_segment(self):
-        assert sample_windows(self.make_mixed([95]), 48, 48) == []
+        windows = sample_windows(self.make_mixed([95]), 48, 48)
+        assert isinstance(windows, np.ndarray) and windows.shape == (0, 96)
 
     def test_target_follows_lookback(self):
-        for w in sample_windows(self.make_mixed([60]), 10, 5, stride=3, seed=1):
-            assert w.target[0] == w.lookback[-1] + 1  # values are arange
+        windows = sample_windows(self.make_mixed([60]), 10, 5, stride=3, seed=1)
+        assert windows.shape == (16, 15) and windows.dtype == np.float64
+        # values are arange: each row runs on by one, across the lookback/target cut
+        np.testing.assert_array_equal(np.diff(windows, axis=1), 1.0)
+        assert sorted(windows[:, 0]) == list(range(0, 46, 3))
 
     def test_seed_controls_order(self):
         mixed = self.make_mixed([200])
         a = sample_windows(mixed, 20, 5, seed=7)
         b = sample_windows(mixed, 20, 5, seed=7)
         c = sample_windows(mixed, 20, 5, seed=8)
-        assert [w.lookback[0] for w in a] == [w.lookback[0] for w in b]
-        assert [w.lookback[0] for w in a] != [w.lookback[0] for w in c]
+        np.testing.assert_array_equal(a, b)
+        assert list(a[:, 0]) != list(c[:, 0])
 
     def test_windows_never_cross_segments(self):
         # sentinel per segment: any mixed-tag window would show two values
@@ -168,9 +172,10 @@ class TestSampleWindows:
         seg_b = MultivariateSeries("b", np.full((1, 30), 2.0))
         full = DatasetSplit((0, 30), (30, 30), (30, 30))
         mixed = build_mixed_dataset([(seg_a, full), (seg_b, full)], "train")
-        for w in sample_windows(mixed, 8, 4, seed=0):
-            tags = set(np.concatenate([w.lookback, w.target]))
-            assert len(tags) == 1
+        windows = sample_windows(mixed, 8, 4, seed=0)
+        assert len(windows) == 2 * 19
+        for row in windows:
+            assert len(set(row)) == 1
 
     def test_bad_stride(self):
         with pytest.raises(ConfigError):

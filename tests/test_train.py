@@ -151,7 +151,7 @@ class TestPretrain:
         best = min(h.val_mse for h in history)
         # persistence oracle on the same validation windows (lookback 12, next 4)
         windows = sample_windows(val, 12, 4, stride=2, seed=0)
-        errs = [naive_baselines(w.lookback, 4, 1)[0] - w.target for w in windows]
+        errs = naive_baselines(windows[:, :12], 4, 1)[0] - windows[:, 12:]
         persistence_mse = float(np.mean(np.square(errs)))
         assert best < persistence_mse
 
@@ -174,7 +174,7 @@ class TestLossDescent:
     def test_single_step_decreases_batch_loss(self):
         params = init_model(TINY_MODEL)
         batch = self.fixture_batch()
-        states = {n: AdamState.for_param(t, learning_rate=1e-4)
+        states = {n: AdamState.for_param(t, TrainConfig(learning_rate=1e-4))
                   for n, t in params.arrays.items()}
         before = _batch_loss(params, batch)
         for t in params.arrays.values():
@@ -188,7 +188,7 @@ class TestLossDescent:
     def test_repeated_batch_monotone_after_warmup(self):
         params = init_model(TINY_MODEL)
         batch = self.fixture_batch()
-        states = {n: AdamState.for_param(t, learning_rate=3e-4)
+        states = {n: AdamState.for_param(t, TrainConfig(learning_rate=3e-4))
                   for n, t in params.arrays.items()}
         losses = []
         for _ in range(25):
