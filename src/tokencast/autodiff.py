@@ -1,16 +1,18 @@
 """Reverse-mode autodiff over float64 numpy arrays.
 
-The kernel set is exactly what the forecaster needs: matmul, elementwise
-arithmetic, softmax/layer-norm, within-token max pooling, linear-interpolation
-upsampling, GELU, dropout and MSE. Each op records a backward closure on a
-per-forward tape; ``backward`` walks the tape in reverse topological order and
-accumulates gradients into ``requires_grad`` leaves. The tape is released after
-the walk; leaf ``.grad`` buffers accumulate across calls until zeroed.
+The kernel set is exactly what the forecaster needs: the affine map
+``linear``, masked multi-head ``causal_attention``, elementwise arithmetic,
+layer-norm, row slicing and shifting, within-token max pooling,
+linear-interpolation upsampling, GELU, dropout and MSE. Each op records a
+backward closure on a per-forward tape; ``backward`` walks the tape in reverse
+topological order and accumulates gradients into ``requires_grad`` leaves. The
+tape is released after the walk; leaf ``.grad`` buffers accumulate across
+calls until zeroed.
 
 Gradient arrays are never written in place. A leaf's first gradient is the
 array its consumer's closure produced, with no copy, so it may be shared with
-another leaf (both operands of ``add``) or be a view of an upstream gradient
-(``reshape``, ``swap_axes``). Accumulation is ``t.grad + g``, a new array, and
+another leaf (both operands of ``add``) or be the upstream gradient itself
+(``add``, ``sub``). Accumulation is ``t.grad + g``, a new array, and
 ``adam_step`` only reads ``param.grad``; a kernel or optimizer that wrote into
 a gradient would corrupt every array sharing it.
 
@@ -101,12 +103,21 @@ def _as_tensor(x) -> Tensor:
 
 
 def _node(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Interior tape node; records the closure only when a parent needs grad."""
-    out = Tensor(values)
+    """Interior tape node; records the closure only when a parent needs grad.
+
+    ``values`` is taken as it is: every kernel computes float64 arrays.
+    """
+    out = object.__new__(Tensor)
+    out.values = values
+    out.grad = None
     if _RECORDING.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
+    else:
+        out.requires_grad = False
+        out._parents = ()
+        out._backward_fn = None
     return out
 
 
@@ -170,48 +181,79 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_matmul_shapes(sa: tuple[int, ...], sb: tuple[int, ...]) -> None:
-    if len(sa) < 2 or len(sb) < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {sa} x {sb}")
-    if sa[-1] != sb[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {sa} x {sb}")
-    la, lb = sa[:-2], sb[:-2]
-    n = min(len(la), len(lb))
-    if n and la[len(la) - n:] != lb[len(lb) - n:]:
-        raise ShapeError(f"matmul batch dimensions must match exactly: {sa} x {sb}")
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of a (..., k) input by a shared (k, n) weight
+    and an (n,) bias, as one node.
 
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading batch dimensions broadcast only when equal.
-
-    Against a shared 2-D ``b`` of shape (k, n), backward folds every leading
-    dimension of ``a`` into the rows of one GEMM per operand: the weight
-    gradient is ``a.reshape(-1, k).T @ g.reshape(-1, n)`` rather than one
-    product per batch entry summed afterwards. The sum runs in a different
-    order, so the weight gradient can differ in the last bits from the
-    per-entry sum.
+    Backward folds every leading dimension of ``x`` into the rows of one GEMM
+    per operand: the weight gradient is ``x.reshape(-1, k).T @ g.reshape(-1, n)``
+    rather than one product per batch entry summed afterwards. The sum runs in
+    a different order, so the weight gradient can differ in the last bits from
+    the per-entry sum.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_matmul_shapes(a.values.shape, b.values.shape)
-    out = a.values @ b.values
+    sx, sw = x.values.shape, w.values.shape
+    if len(sx) < 2 or len(sw) != 2:
+        raise ShapeError(f"linear needs a >=2-d input and a 2-d weight, got {sx} x {sw}")
+    if sx[-1] != sw[0]:
+        raise ShapeError(f"linear inner dimensions disagree: {sx} x {sw}")
+    if b.values.shape != sw[1:]:
+        raise ShapeError(f"linear bias must have shape ({sw[1]},), got {b.values.shape}")
+    out = x.values @ w.values
+    out += b.values
 
     def bwd(g: np.ndarray) -> None:
-        if b.values.ndim == 2:
-            k, n = b.values.shape
-            rows = g.reshape(-1, n)
-            if a.requires_grad:
-                _accum(a, (rows @ b.values.T).reshape(a.values.shape))
-            if b.requires_grad:
-                _accum(b, a.values.reshape(-1, k).T @ rows)
-            return
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.values, -1, -2)
-            _accum(a, _unbroadcast(ga, a.values.shape))
+        k, n = sw
+        rows = g.reshape(-1, n)
         if b.requires_grad:
-            gb = np.swapaxes(a.values, -1, -2) @ g
-            _accum(b, _unbroadcast(gb, b.values.shape))
+            _accum(b, _unbroadcast(g, sw[1:]))
+        if x.requires_grad:
+            _accum(x, (rows @ w.values.T).reshape(sx))
+        if w.requires_grad:
+            _accum(w, x.values.reshape(-1, k).T @ rows)
 
-    return _node(out, (a, b), bwd)
+    return _node(out, (x, w, b), bwd)
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
+                     mask: np.ndarray) -> Tensor:
+    """Multi-head scaled dot-product attention of (..., L, d) projections, as
+    one node: split heads, ``q @ k.T / sqrt(d / num_heads)``, masked softmax
+    over the keys, ``@ v``, merge heads.
+
+    ``mask`` (broadcastable to (L, L), boolean, True = excluded) forces exact
+    zeros: masked scores are replaced by -inf before the shifted exp, so the
+    attention weight there and its gradient are exactly 0.0. Every query must
+    keep at least one unmasked key.
+    """
+    shape = q.values.shape
+    split = shape[:-1] + (num_heads, shape[-1] // num_heads)
+    scale = 1.0 / math.sqrt(split[-1])
+    # (..., heads, L, head_dim) views
+    qh = q.values.reshape(split).swapaxes(-3, -2)
+    kh = k.values.reshape(split).swapaxes(-3, -2)
+    vh = v.values.reshape(split).swapaxes(-3, -2)
+    scores = np.where(mask, -np.inf, (qh @ kh.swapaxes(-1, -2)) * scale)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    out = (attn @ vh).swapaxes(-3, -2).reshape(shape)
+
+    def merge(gh: np.ndarray) -> np.ndarray:
+        return gh.swapaxes(-3, -2).reshape(shape)
+
+    def bwd(g: np.ndarray) -> None:
+        g_ctx = g.reshape(split).swapaxes(-3, -2)
+        if q.requires_grad or k.requires_grad:
+            g_attn = g_ctx @ vh.swapaxes(-1, -2)
+            dot = (g_attn * attn).sum(axis=-1, keepdims=True)
+            g_scores = attn * (g_attn - dot) * scale
+            if q.requires_grad:
+                _accum(q, merge(g_scores @ kh))
+            if k.requires_grad:
+                _accum(k, merge((qh.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2)))
+        if v.requires_grad:
+            _accum(v, merge(attn.swapaxes(-1, -2) @ g_ctx))
+
+    return _node(out, (q, k, v), bwd)
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -251,26 +293,6 @@ def mul(a: Tensor, b) -> Tensor:
             _accum(b, _unbroadcast(g * a.values, b.values.shape))
 
     return _node(out, (a, b), bwd)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    a = _as_tensor(a)
-    out = a.values.reshape(shape)
-
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, g.reshape(a.values.shape))
-
-    return _node(out, (a,), bwd)
-
-
-def swap_axes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    a = _as_tensor(a)
-    out = np.swapaxes(a.values, ax1, ax2)
-
-    def bwd(g: np.ndarray) -> None:
-        _accum(a, np.swapaxes(g, ax1, ax2))
-
-    return _node(out, (a,), bwd)
 
 
 def slice_rows(a: Tensor, n: int) -> Tensor:
@@ -317,31 +339,6 @@ def gelu(a: Tensor) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def softmax_lastdim(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row-stable softmax over the last axis.
-
-    ``mask`` (broadcastable, boolean, True = excluded) forces exact zeros at
-    masked positions: their scores are replaced by -inf before the shifted
-    exp, so the output and its gradient there are exactly 0.0. Every row must
-    keep at least one unmasked entry.
-    """
-    a = _as_tensor(a)
-    x = a.values
-    if x.shape[-1] < 1:
-        raise ShapeError("softmax needs a nonempty last dimension")
-    if mask is not None:
-        x = np.where(mask, -np.inf, x)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g: np.ndarray) -> None:
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        _accum(a, s * (g - dot))
-
-    return _node(s, (a,), bwd)
-
-
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Standardize each row over the last axis, then apply the affine pair."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
@@ -351,9 +348,10 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm gain/bias must have shape ({n},), got "
             f"{gain.values.shape} and {bias.values.shape}"
         )
-    mean = a.values.mean(axis=-1, keepdims=True)
+    # sum / n is the reduction and divide np.mean runs, without its wrapper
+    mean = a.values.sum(axis=-1, keepdims=True) / n
     centered = a.values - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     out = xhat * gain.values + bias.values
@@ -365,8 +363,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             _accum(bias, g.reshape(-1, n).sum(axis=0))
         if a.requires_grad:
             dxhat = g * gain.values
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            m1 = dxhat.sum(axis=-1, keepdims=True) / n
+            m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
             _accum(a, inv_std * (dxhat - m1 - xhat * m2))
 
     return _node(out, (a, gain, bias), bwd)

@@ -100,6 +100,21 @@ def _grouped_decoder(forecast_fn):
     return decode
 
 
+def _check_eval_settings(horizons: list[int], lookback_len: int, stride: int,
+                         threads: int) -> None:
+    """Reject evaluation settings before any decoding or fine-tuning."""
+    if not horizons:
+        raise ConfigError("need at least one horizon")
+    if min(horizons) < 1:
+        raise ConfigError(f"horizons must be >= 1, got {sorted(horizons)}")
+    if stride < 1:
+        raise ConfigError(f"stride must be >= 1, got {stride}")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    if lookback_len < 1:
+        raise ConfigError(f"lookback must be >= 1, got {lookback_len}")
+
+
 def evaluate(
     ckpt: Checkpoint | None,
     series: MultivariateSeries,
@@ -123,16 +138,7 @@ def evaluate(
     Results are deterministic and row-independent, so ``threads`` only splits
     work: reports are bit-identical at any thread count.
     """
-    if not horizons:
-        raise ConfigError("need at least one horizon")
-    if min(horizons) < 1:
-        raise ConfigError(f"horizons must be >= 1, got {sorted(horizons)}")
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    if lookback_len < 1:
-        raise ConfigError(f"lookback must be >= 1, got {lookback_len}")
+    _check_eval_settings(horizons, lookback_len, stride, threads)
     if forecast_fn is None:
         if ckpt is None:
             raise ConfigError("evaluate needs a checkpoint or a forecast_fn")
@@ -227,7 +233,9 @@ def few_shot_protocol(
     stride: int = 1,
     threads: int = 1,
 ) -> EvalReport:
-    """Tune heads on the most recent fraction of train data, score full test."""
+    """Tune heads on the most recent fraction of train data, score full test.
+    Every setting is checked before the tuning starts."""
+    _check_eval_settings(horizons, lookback_len, stride, threads)
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"few-shot fraction must lie in (0, 1], got {fraction}")
     a, b = split.train

@@ -23,19 +23,16 @@ import numpy as np
 from .autodiff import (
     Tensor,
     add,
+    causal_attention,
     dropout,
     gelu,
     layer_norm,
+    linear,
     linear_interp_upsample,
-    matmul,
     max_pool_within_token,
-    mul,
-    reshape,
     shift_right,
     slice_rows,
-    softmax_lastdim,
     sub,
-    swap_axes,
 )
 from .errors import ConfigError
 
@@ -241,25 +238,11 @@ def causal_self_attention(h: Tensor, weights: dict[str, Tensor], num_heads: int)
     h is (..., L', d); masked scores are forced to exact-zero attention
     weight, which makes the no-peek guarantee bit-exact, not approximate.
     """
-    d = h.shape[-1]
-    n = h.shape[-2]
-    head_dim = d // num_heads
-    lead = h.shape[:-2]
-
-    q = add(matmul(h, weights["wq"]), weights["bq"])
-    k = add(matmul(h, weights["wk"]), weights["bk"])
-    v = add(matmul(h, weights["wv"]), weights["bv"])
-
-    def split_heads(t: Tensor) -> Tensor:
-        t = reshape(t, lead + (n, num_heads, head_dim))
-        return swap_axes(t, -3, -2)  # (..., heads, L', head_dim)
-
-    qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
-    scores = mul(matmul(qh, swap_axes(kh, -1, -2)), 1.0 / math.sqrt(head_dim))
-    attn = softmax_lastdim(scores, mask=_causal_mask(n))
-    ctx = matmul(attn, vh)                      # (..., heads, L', head_dim)
-    ctx = reshape(swap_axes(ctx, -3, -2), lead + (n, d))
-    return add(matmul(ctx, weights["wo"]), weights["bo"])
+    q = linear(h, weights["wq"], weights["bq"])
+    k = linear(h, weights["wk"], weights["bk"])
+    v = linear(h, weights["wv"], weights["bv"])
+    ctx = causal_attention(q, k, v, num_heads, _causal_mask(h.shape[-2]))
+    return linear(ctx, weights["wo"], weights["bo"])
 
 
 def _transformer_layer(
@@ -277,9 +260,8 @@ def _transformer_layer(
         attended = dropout(attended, cfg.dropout_rate, rng)
     h = add(h, attended)
     normed = layer_norm(h, a[prefix + "ln2.gain"], a[prefix + "ln2.bias"])
-    ff = matmul(gelu(add(matmul(normed, a[prefix + "ff.w1"]), a[prefix + "ff.b1"])),
-                a[prefix + "ff.w2"])
-    ff = add(ff, a[prefix + "ff.b2"])
+    ff = linear(gelu(linear(normed, a[prefix + "ff.w1"], a[prefix + "ff.b1"])),
+                a[prefix + "ff.w2"], a[prefix + "ff.b2"])
     if rng is not None and cfg.dropout_rate > 0.0:
         ff = dropout(ff, cfg.dropout_rate, rng)
     return add(h, ff)
@@ -308,12 +290,12 @@ def stage_forward(
     k = cfg.pool_kernels[stage]
 
     pooled = max_pool_within_token(tokens, k)
-    embedded = add(matmul(pooled, a[pre + "embed.weight"]), a[pre + "embed.bias"])
+    embedded = linear(pooled, a[pre + "embed.weight"], a[pre + "embed.bias"])
     h = add(embedded, slice_rows(a[pre + "pos_table"], n))
     for l in range(cfg.layers_per_stage):
         h = _transformer_layer(h, params, f"{pre}layer{l}.", rng)
     h = layer_norm(h, a[pre + "final_ln.gain"], a[pre + "final_ln.bias"])
-    small = add(matmul(h, a[pre + "head.weight"]), a[pre + "head.bias"])
+    small = linear(h, a[pre + "head.weight"], a[pre + "head.bias"])
     prediction = linear_interp_upsample(small, cfg.token_len)
     return StageActivation(stage_input=tokens, pooled=pooled, prediction=prediction)
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from tokencast.autodiff import Tensor, backward, gelu, layer_norm, linear_interp_upsample, matmul, max_pool_within_token, mse, softmax_lastdim
+from tokencast.autodiff import Tensor, backward, causal_attention, gelu, layer_norm, linear, linear_interp_upsample, max_pool_within_token, mse
 from tokencast.checkpoint import checkpoint_hash, from_params, load_checkpoint, serialize
 from tokencast.cli import main
 from tokencast.data import (
@@ -144,8 +144,12 @@ class TestCriterion1Gradients:
         t59 = rng.uniform(-1, 1, (5, 9))
         gain, bias = Tensor(rng.uniform(0.5, 1.5, 4)), Tensor(rng.uniform(-0.5, 0.5, 4))
         pool_x = rng.permutation(20).astype(np.float64).reshape(5, 4) / 3.0
-        check(lambda a: mse(matmul(a, w), t53), rng.uniform(-2, 2, (5, 4)), "matmul")
-        check(lambda a: mse(softmax_lastdim(a), t54), rng.uniform(-2, 2, (5, 4)), "softmax")
+        keys, values = Tensor(t54), Tensor(t54[::-1].copy())
+        causal = np.triu(np.ones((5, 5), dtype=bool), k=1)
+        check(lambda a: mse(linear(a, w, Tensor(np.zeros(3))), t53), rng.uniform(-2, 2, (5, 4)),
+              "linear")
+        check(lambda a: mse(causal_attention(a, keys, values, 2, causal), t54),
+              rng.uniform(-2, 2, (5, 4)), "attention")
         check(lambda a: mse(layer_norm(a, gain, bias), t54), rng.uniform(-2, 2, (5, 4)), "layer_norm")
         check(lambda a: mse(max_pool_within_token(a, 2), t54[:, :2]), pool_x, "max_pool")
         check(lambda a: mse(linear_interp_upsample(a, 9), t59), rng.uniform(-2, 2, (5, 4)), "upsample")

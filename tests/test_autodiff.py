@@ -4,32 +4,58 @@ import threading
 import numpy as np
 import pytest
 
+import tokencast.autodiff as autodiff
 from tokencast.autodiff import (
     AdamState,
     Tensor,
     adam_step,
     add,
     backward,
+    causal_attention,
     dropout,
     gelu,
     layer_norm,
+    linear,
     linear_interp_upsample,
-    matmul,
     max_pool_within_token,
     mse,
     mul,
     no_grad,
-    reshape,
     shift_right,
     slice_rows,
-    softmax_lastdim,
     sub,
-    swap_axes,
 )
 from tokencast.errors import ConfigError, ShapeError
+from tokencast.model import init_model, model_forward, paper_preset
 from tokencast.train import TrainConfig
 
 from conftest import central_difference, check_gradient, relative_error
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """The product inside linear: x @ w with a zero bias."""
+    return linear(a, b, Tensor(np.zeros(b.shape[-1:])))
+
+
+# (L, m) scores, m <= L, reach causal_attention's softmax unchanged (key
+# columns past m score 0) through a query that is 4 * scores, zero-padded to
+# width 16, against identity keys, with one head of width 16 (scale 1/4):
+# every product is exact. Identity values make output[:, :L] the attention
+# weights themselves.
+WIDTH = 16
+
+
+def attention_weights(scores: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    n, m = scores.shape
+    if mask is None:
+        mask = np.zeros((n, n), dtype=bool)
+    q = linear(scores, Tensor(4.0 * np.eye(m, WIDTH)), Tensor(np.zeros(WIDTH)))
+    eye = Tensor(np.eye(n, WIDTH))
+    return causal_attention(q, eye, eye, 1, mask)
+
+
+def padded(target: np.ndarray) -> np.ndarray:
+    return np.pad(target, ((0, 0), (0, WIDTH - target.shape[-1])))
 
 
 class TestMatmul:
@@ -47,7 +73,8 @@ class TestMatmul:
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
     def test_batch_dims_must_match(self):
-        with pytest.raises(ShapeError):
+        # the weight is one shared matrix; a batch of weights is refused
+        with pytest.raises(ShapeError, match="2-d weight"):
             matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 4, 2))))
 
     def test_gradient_both_sides(self, rng):
@@ -70,13 +97,13 @@ class TestMatmul:
 
 
 class TestMatmulSharedWeight:
-    """(..., L, k) @ (k, n): backward folds the leading dimensions into one
-    GEMM per operand."""
+    """(..., L, k) @ (k, n) inside linear: backward folds the leading
+    dimensions into one GEMM per operand."""
 
     CASES = {
         "3d": ((3, 4, 5), (5, 2), False),
         "4d": ((2, 3, 4, 5), (5, 2), False),
-        # the upstream gradient reaches matmul as a non-contiguous view
+        # the upstream gradient reaches linear as a non-contiguous view
         "3d_swapped_upstream": ((3, 4, 5), (5, 2), True),
     }
 
@@ -87,28 +114,28 @@ class TestMatmulSharedWeight:
         a0 = rng.uniform(-2, 2, shape_a)
         b0 = rng.uniform(-2, 2, shape_b)
         out_shape = shape_a[:-1] + shape_b[-1:]
+        # the loss is sum(out * upstream), so upstream is dloss/dout
         if swapped:
-            out_shape = out_shape[:-2] + out_shape[:-3:-1]
-        target = rng.uniform(-1, 1, out_shape)
+            upstream = np.swapaxes(rng.uniform(-1, 1, out_shape[:-2] + out_shape[:-3:-1]),
+                                   -1, -2)
+            assert not upstream.flags.c_contiguous
+        else:
+            upstream = rng.uniform(-1, 1, out_shape)
 
-        def loss_of(a, b):
-            out = matmul(a, b)
-            if swapped:
-                out = swap_axes(out, -1, -2)
-            return mse(out, target)
+        def loss_value(a_values, b_values):
+            return float((matmul(Tensor(a_values), Tensor(b_values)).values
+                          * upstream).sum())
 
         a = Tensor(a0.copy(), requires_grad=wrt in ("a", "both"))
         b = Tensor(b0.copy(), requires_grad=wrt in ("b", "both"))
-        backward(loss_of(a, b))
+        matmul(a, b)._backward_fn(upstream)
         if wrt in ("a", "both"):
-            numeric = central_difference(
-                lambda x: float(loss_of(Tensor(x), Tensor(b0)).values), a0.copy())
+            numeric = central_difference(lambda x: loss_value(x, b0), a0.copy())
             assert relative_error(a.grad, numeric) < 1e-6
         else:
             assert a.grad is None
         if wrt in ("b", "both"):
-            numeric = central_difference(
-                lambda x: float(loss_of(Tensor(a0), Tensor(x)).values), b0.copy())
+            numeric = central_difference(lambda x: loss_value(a0, x), b0.copy())
             assert relative_error(b.grad, numeric) < 1e-6
         else:
             assert b.grad is None
@@ -132,44 +159,180 @@ class TestMatmulSharedWeight:
 
 
 class TestSoftmax:
+    """The masked softmax inside causal_attention, read off its output."""
+
     def test_symmetry(self):
-        out = softmax_lastdim(Tensor([0.0, 0.0]))
-        np.testing.assert_allclose(out.values, [0.5, 0.5], rtol=0, atol=0)
+        out = attention_weights(Tensor([[0.0, 0.0], [0.0, 0.0]]))
+        np.testing.assert_allclose(out.values[:, :2], 0.5, rtol=0, atol=0)
 
     def test_known_values(self):
         # frozen from a 40-digit exp/sum evaluation
         expected = [0.090030573170380457998, 0.24472847105479765247, 0.66524095577482188953]
-        out = softmax_lastdim(Tensor([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(out.values, expected, rtol=1e-15)
+        out = attention_weights(Tensor(np.tile([1.0, 2.0, 3.0], (3, 1))))
+        np.testing.assert_allclose(out.values[:, :3], [expected] * 3, rtol=1e-15)
 
     def test_no_overflow(self):
-        out = softmax_lastdim(Tensor([1000.0, 0.0]))
+        out = attention_weights(Tensor([[1000.0, 0.0], [0.0, 1000.0]]))
         assert np.all(np.isfinite(out.values))
-        np.testing.assert_allclose(out.values, [1.0, 0.0], atol=1e-300)
+        np.testing.assert_allclose(out.values[:, :2], np.eye(2), atol=1e-300)
 
     def test_rows_sum_to_one(self, rng):
-        x = rng.uniform(-2, 2, (6, 9))
-        out = softmax_lastdim(Tensor(x))
-        np.testing.assert_allclose(out.values.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
-        assert np.all(out.values >= 0) and np.all(out.values <= 1)
+        x = rng.uniform(-2, 2, (9, 9))
+        out = attention_weights(Tensor(x)).values[:, :9]
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(out >= 0) and np.all(out <= 1)
 
     def test_mask_forces_exact_zero(self, rng):
         x = rng.uniform(-2, 2, (4, 4))
         mask = np.triu(np.ones((4, 4), dtype=bool), k=1)
-        out = softmax_lastdim(Tensor(x), mask=mask)
-        assert np.all(out.values[mask] == 0.0)
-        np.testing.assert_allclose(out.values.sum(axis=-1), 1.0, atol=1e-12)
+        out = attention_weights(Tensor(x), mask).values[:, :4]
+        assert np.all(out[mask] == 0.0)
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_gradient(self, rng):
-        x0 = rng.uniform(-2, 2, (3, 5))
-        w = rng.uniform(-1, 1, (3, 5))
-        check_gradient(lambda a: mse(softmax_lastdim(a), w), x0, rtol=1e-4)
+        x0 = rng.uniform(-2, 2, (5, 5))
+        w = padded(rng.uniform(-1, 1, (5, 5)))
+        check_gradient(lambda a: mse(attention_weights(a), w), x0, rtol=1e-4)
 
     def test_masked_gradient(self, rng):
         x0 = rng.uniform(-2, 2, (4, 4))
         mask = np.triu(np.ones((4, 4), dtype=bool), k=1)
-        w = rng.uniform(-1, 1, (4, 4))
-        check_gradient(lambda a: mse(softmax_lastdim(a, mask=mask), w), x0, rtol=1e-4)
+        w = padded(rng.uniform(-1, 1, (4, 4)))
+        x = Tensor(x0, requires_grad=True)
+        backward(mse(attention_weights(x, mask), w))
+        # a masked score never reaches the output, so its gradient is exactly 0
+        assert np.all(x.grad[mask] == 0.0)
+        check_gradient(lambda a: mse(attention_weights(a, mask), w), x0, rtol=1e-4)
+
+
+LEADING = {"2d": (), "3d": (3,), "4d": (2, 3)}
+
+
+class TestLinear:
+    @pytest.mark.parametrize("lead", sorted(LEADING))
+    @pytest.mark.parametrize("wrt", ["x", "w", "b"])
+    def test_finite_differences(self, rng, lead, wrt):
+        operands = {"x": rng.uniform(-2, 2, LEADING[lead] + (4, 5)),
+                    "w": rng.uniform(-2, 2, (5, 3)),
+                    "b": rng.uniform(-2, 2, 3)}
+        target = rng.uniform(-1, 1, LEADING[lead] + (4, 3))
+
+        def loss(t):
+            args = {n: t if n == wrt else Tensor(v) for n, v in operands.items()}
+            return mse(linear(args["x"], args["w"], args["b"]), target)
+
+        check_gradient(loss, operands[wrt], rtol=1e-6)
+
+    def test_only_requested_gradients(self, rng):
+        x = Tensor(rng.normal(size=(2, 4, 5)))
+        w = Tensor(rng.normal(size=(5, 3)))
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        backward(mse(linear(x, w, b), np.zeros((2, 4, 3))))
+        assert x.grad is None and w.grad is None
+        assert b.grad.shape == (3,)
+
+    def test_bad_bias_shape(self):
+        with pytest.raises(ShapeError, match="bias"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)))
+
+    def test_equals_old_matmul_add_chain(self, rng):
+        # the arithmetic of matmul then add, bit for bit
+        x0, w0, b0 = rng.normal(size=(2, 7, 6)), rng.normal(size=(6, 4)), rng.normal(size=4)
+        g = rng.normal(size=(2, 7, 4))
+        x, w, b = (Tensor(v, requires_grad=True) for v in (x0, w0, b0))
+        out = linear(x, w, b)
+        out._backward_fn(g)
+        np.testing.assert_array_equal(out.values, x0 @ w0 + b0)
+        np.testing.assert_array_equal(b.grad, g.sum(axis=(0, 1)))
+        np.testing.assert_array_equal(x.grad, (g.reshape(-1, 4) @ w0.T).reshape(x0.shape))
+        np.testing.assert_array_equal(w.grad, x0.reshape(-1, 6).T @ g.reshape(-1, 4))
+
+
+def _old_attention_chain(q, k, v, num_heads, mask, g):
+    """The 13-node chain causal_attention replaced, one numpy step per old
+    node (reshape, swap_axes, matmul, mul, softmax_lastdim), forward then
+    backward: returns the output and the gradients of q, k and v."""
+    shape = q.shape
+    n, d = shape[-2:]
+    head_dim = d // num_heads
+    split = shape[:-2] + (n, num_heads, head_dim)
+    qh, kh, vh = (np.swapaxes(t.reshape(split), -3, -2) for t in (q, k, v))
+    kt = np.swapaxes(kh, -1, -2)
+    prod = qh @ kt
+    scores = prod * np.asarray(1.0 / np.sqrt(head_dim))
+    x = np.where(mask, -np.inf, scores)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    ctx = s @ vh
+    out = np.swapaxes(ctx, -3, -2).reshape(shape)
+
+    g_ctx = np.swapaxes(g.reshape(split), -3, -2)            # reshape, swap_axes
+    g_s = g_ctx @ np.swapaxes(vh, -1, -2)                    # matmul(s, vh)
+    g_vh = np.swapaxes(s, -1, -2) @ g_ctx
+    g_scores = s * (g_s - (g_s * s).sum(axis=-1, keepdims=True))   # softmax
+    g_prod = g_scores * np.asarray(1.0 / np.sqrt(head_dim))       # mul
+    g_qh = g_prod @ np.swapaxes(kt, -1, -2)                  # matmul(qh, kt)
+    g_kt = np.swapaxes(qh, -1, -2) @ g_prod
+    g_kh = np.swapaxes(g_kt, -1, -2)                         # swap_axes(kh)
+    grads = [np.swapaxes(gh, -3, -2).reshape(shape) for gh in (g_qh, g_kh, g_vh)]
+    return out, grads
+
+
+class TestCausalAttention:
+    HEADS = 2
+
+    @staticmethod
+    def _operands(rng, lead, n=4, d=6):
+        return [rng.uniform(-1.5, 1.5, LEADING[lead] + (n, d)) for _ in range(3)]
+
+    @pytest.mark.parametrize("lead", sorted(LEADING))
+    @pytest.mark.parametrize("wrt", [0, 1, 2], ids=["q", "k", "v"])
+    def test_finite_differences(self, rng, lead, wrt):
+        operands = self._operands(rng, lead)
+        mask = np.triu(np.ones((4, 4), dtype=bool), k=1)
+        target = rng.uniform(-1, 1, operands[0].shape)
+
+        def loss(t):
+            args = [t if i == wrt else Tensor(v) for i, v in enumerate(operands)]
+            return mse(causal_attention(*args, self.HEADS, mask), target)
+
+        check_gradient(loss, operands[wrt], rtol=1e-5)
+
+    @pytest.mark.parametrize("lead", sorted(LEADING))
+    def test_equals_old_chain(self, rng, lead):
+        operands = self._operands(rng, lead)
+        mask = np.triu(np.ones((4, 4), dtype=bool), k=1)
+        g = rng.normal(size=operands[0].shape)
+        q, k, v = (Tensor(x, requires_grad=True) for x in operands)
+        out = causal_attention(q, k, v, self.HEADS, mask)
+        out._backward_fn(g)
+        ref_out, ref_grads = _old_attention_chain(*operands, self.HEADS, mask, g)
+        np.testing.assert_array_equal(out.values, ref_out)
+        for t, ref in zip((q, k, v), ref_grads):
+            np.testing.assert_array_equal(t.grad, ref)
+
+    def test_first_position_sees_only_itself(self, rng):
+        q, k, v = self._operands(rng, "3d")
+        mask = np.triu(np.ones((4, 4), dtype=bool), k=1)
+        out = causal_attention(Tensor(q), Tensor(k), Tensor(v), self.HEADS, mask)
+        np.testing.assert_array_equal(out.values[:, 0], v[:, 0])
+
+
+class TestNodeBudget:
+    def test_paper_preset_forward_builds_at_most_183_nodes(self, monkeypatch):
+        # 43 per stage (12 per layer) plus 11 to chain 4 stages
+        params = init_model(paper_preset(model_width=16, feedforward_width=32,
+                                         attention_heads=2))
+        real = autodiff._node
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(autodiff, "_node", counting)
+        model_forward(params, np.random.default_rng(0).normal(size=(1, 7, 48)))
+        assert 0 < len(calls) <= 183
 
 
 class TestLayerNorm:
@@ -435,12 +598,6 @@ class TestStructuralOps:
         w = rng.uniform(-1, 1, (2, 3))
         check_gradient(lambda a: mse(slice_rows(a, 2), w), x0, rtol=1e-6)
 
-    def test_reshape_swap_roundtrip(self, rng):
-        x0 = rng.uniform(-2, 2, (2, 3, 4))
-        w = rng.uniform(-1, 1, (2, 4, 3))
-        check_gradient(lambda a: mse(swap_axes(a, -1, -2), w), x0, rtol=1e-6)
-        check_gradient(lambda a: mse(reshape(a, (6, 4)), w.reshape(6, 4)), x0, rtol=1e-6)
-
     def test_gelu_gradient(self, rng):
         x0 = rng.uniform(-2, 2, (3, 4))
         w = rng.uniform(-1, 1, (3, 4))
@@ -467,13 +624,14 @@ class TestGradientSweep:
         w43 = Tensor(rng.uniform(-2, 2, (4, 3)))
         gain = Tensor(rng.uniform(0.5, 1.5, 4))
         t54 = rng.uniform(-1, 1, (5, 4))
+        t5w = padded(rng.uniform(-1, 1, (5, 5)))
         t53 = np.zeros((5, 3))
         t511 = rng.uniform(-1, 1, (5, 11))
         bias4 = Tensor(rng.uniform(-1, 1, 4))
         other = Tensor(rng.uniform(-1, 1, (5, 4)))
         cases = [
             lambda a: mse(matmul(a, w43), t53),
-            lambda a: mse(softmax_lastdim(a), t54),
+            lambda a: mse(attention_weights(a), t5w),
             lambda a: mse(layer_norm(a, gain, Tensor(np.zeros(4))), t54),
             lambda a: mse(linear_interp_upsample(a, 11), t511),
             lambda a: mse(gelu(a), t54),

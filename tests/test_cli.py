@@ -191,6 +191,14 @@ class TestPretrainCommand:
         assert main(["--seed", "-1", "pretrain", str(cfg), str(tmp_path / "out")]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_threads_exits_2(self, tmp_path, synth_csv, capsys, threads):
+        cfg = write_train_cfg(tmp_path, synth_csv)
+        out = tmp_path / "out"
+        assert main(["--threads", threads, "pretrain", str(cfg), str(out)]) == 2
+        assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_split_for_unlisted_dataset_exits_2(self, tmp_path, synth_csv, capsys):
         cfg = write_train_cfg(tmp_path, synth_csv, extra="split.mx = 0.6,0.2,0.2\n")
         assert main(["pretrain", str(cfg), str(tmp_path / "out")]) == 2
@@ -259,6 +267,14 @@ class TestFinetuneCommand:
         cfg = write_train_cfg(tmp_path, synth_csv)
         assert main(["finetune", str(tmp_path / "no.ckpt"), str(cfg),
                      str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_threads_exits_2(self, tmp_path, synth_csv, capsys, threads):
+        # rejected before the (missing) checkpoint is read
+        cfg = write_train_cfg(tmp_path, synth_csv)
+        assert main(["--threads", threads, "finetune", str(tmp_path / "no.ckpt"),
+                     str(cfg), str(tmp_path / "out")]) == 2
+        assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
 
 
 class TestForecastCommand:
@@ -362,6 +378,29 @@ class TestEvaluateCommand:
         assert main(["--threads", threads, "evaluate", str(pretrained), str(cfg),
                      str(tmp_path / "t")]) == 2
         assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,extra_eval", [
+        (["--threads", "0"], ""),
+        ([], "stride = 0\n"),
+    ], ids=["threads0", "stride0"])
+    def test_few_shot_bad_settings_exit_2_before_tuning(
+            self, tmp_path, synth_csv, pretrained, monkeypatch, flags, extra_eval):
+        import tokencast.evaluate as ev
+
+        calls = []
+        real = ev.finetune_heads
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "finetune_heads", counted)
+        cfg = self.eval_cfg(tmp_path, synth_csv, "protocol = few-shot\nfraction = 0.5\n")
+        text = cfg.read_text().replace("stride = 4\n", extra_eval or "stride = 4\n")
+        cfg.write_text(text + TRAIN_SECTION.replace("epochs = 2", "epochs = 1"))
+        assert main(flags + ["evaluate", str(pretrained), str(cfg),
+                             str(tmp_path / "fs")]) == 2
+        assert calls == []
 
     def test_shape_error_exits_3(self, tmp_path, synth_csv, pretrained, monkeypatch,
                                  capsys):
