@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -380,37 +381,31 @@ def max_pool_within_token(a: Tensor, k: int) -> Tensor:
     if k < 1 or t % k != 0:
         raise ConfigError(f"pool kernel {k} must divide token length {t}")
     windows = a.values.reshape(a.values.shape[:-1] + (t // k, k))
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    out = windows.max(axis=-1)
 
     def bwd(g: np.ndarray) -> None:
         ga = np.zeros_like(windows)
+        idx = windows.argmax(axis=-1)
         np.put_along_axis(ga, idx[..., None], g[..., None], axis=-1)
         _accum(a, ga.reshape(a.values.shape))
 
     return _node(out, (a,), bwd)
 
 
-_INTERP_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _interp_matrix(m: int, target_len: int) -> np.ndarray:
     """(m, target_len) weights: column j samples position j*(m-1)/(target-1)."""
-    key = (m, target_len)
-    w = _INTERP_CACHE.get(key)
-    if w is None:
-        w = np.zeros((m, target_len))
-        if m == 1:
-            w[0, :] = 1.0
-        elif target_len == 1:
-            w[0, 0] = 1.0
-        else:
-            pos = np.arange(target_len) * (m - 1) / (target_len - 1)
-            lo = np.minimum(pos.astype(np.intp), m - 2)
-            frac = pos - lo
-            w[lo, np.arange(target_len)] += 1.0 - frac
-            w[lo + 1, np.arange(target_len)] += frac
-        _INTERP_CACHE[key] = w
+    w = np.zeros((m, target_len))
+    if m == 1:
+        w[0, :] = 1.0
+    elif target_len == 1:
+        w[0, 0] = 1.0
+    else:
+        pos = np.arange(target_len) * (m - 1) / (target_len - 1)
+        lo = np.minimum(pos.astype(np.intp), m - 2)
+        frac = pos - lo
+        w[lo, np.arange(target_len)] += 1.0 - frac
+        w[lo + 1, np.arange(target_len)] += frac
     return w
 
 

@@ -11,9 +11,11 @@ where the config block is UTF-8 ``key=value`` lines (model fields plus
     u16 name length | name UTF-8 | u8 scope (0 non-head, 1 head) | u8 rank
     | u32 per dimension | float64 row-major values
 
-Arrays are ordered by name; save -> load round-trips bit-exactly. Loading
-validates the config and requires exactly the arrays, shapes and scopes that
-it implies (``model.parameter_layout``).
+Arrays are ordered by name; save -> load round-trips bit-exactly. A
+``Checkpoint`` holds no version or scope: saving writes ``VERSION`` and each
+scope byte from ``model.parameter_layout``, and loading rejects any other
+version and requires exactly the arrays, shapes and scope bytes that the
+config implies.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .autodiff import Tensor
 from .errors import CheckpointFormatError, CheckpointVersionError, DataError
 from .model import (
     SCOPE_HEAD,
@@ -33,7 +36,6 @@ from .model import (
     ModelParams,
     format_value,
     parameter_layout,
-    params_from_arrays,
     parse_field,
 )
 
@@ -45,9 +47,7 @@ VERSION = 1
 class Checkpoint:
     config: ModelConfig
     arrays: dict[str, np.ndarray]
-    scopes: dict[str, str]
     metadata: dict[str, str] = field(default_factory=dict)
-    version: int = VERSION
 
 
 def from_params(params: ModelParams, metadata: dict[str, str] | None = None) -> Checkpoint:
@@ -55,14 +55,14 @@ def from_params(params: ModelParams, metadata: dict[str, str] | None = None) -> 
     return Checkpoint(
         config=params.config,
         arrays={n: t.values.copy() for n, t in params.arrays.items()},
-        scopes=dict(params.scopes),
         metadata=dict(metadata or {}),
     )
 
 
 def to_params(ckpt: Checkpoint) -> ModelParams:
     """Materialize trainable parameters from a checkpoint."""
-    return params_from_arrays(ckpt.config, ckpt.arrays, ckpt.scopes)
+    return ModelParams(config=ckpt.config, arrays={
+        n: Tensor(v.copy(), requires_grad=True) for n, v in ckpt.arrays.items()})
 
 
 def _encode_config_block(config: ModelConfig, metadata: dict[str, str]) -> bytes:
@@ -96,8 +96,8 @@ def _decode_config_block(block: bytes) -> tuple[ModelConfig, dict[str, str]]:
 
 
 def _check_arrays(config: ModelConfig, arrays: dict[str, np.ndarray],
-                  scopes: dict[str, str]) -> None:
-    """Require exactly the arrays, shapes and scopes the config implies."""
+                  file_scope: dict[str, str]) -> None:
+    """Require exactly the arrays, shapes and scope codes the config implies."""
     expected = {name: (shape, scope) for name, shape, scope in parameter_layout(config)}
     missing = sorted(set(expected) - set(arrays))
     unexpected = sorted(set(arrays) - set(expected))
@@ -113,19 +113,21 @@ def _check_arrays(config: ModelConfig, arrays: dict[str, np.ndarray],
                 f"array {name} has shape {arrays[name].shape}, the config "
                 f"implies {shape}"
             )
-        if scopes[name] != scope:
+        if file_scope[name] != scope:
             raise CheckpointFormatError(
-                f"array {name} has scope {scopes[name]}, the config implies {scope}"
+                f"array {name} has scope {file_scope[name]}, the config implies {scope}"
             )
 
 
 def serialize(ckpt: Checkpoint) -> bytes:
     buf = io.BytesIO()
     buf.write(MAGIC)
-    buf.write(struct.pack("<I", ckpt.version))
+    buf.write(struct.pack("<I", VERSION))
     block = _encode_config_block(ckpt.config, ckpt.metadata)
     buf.write(struct.pack("<Q", len(block)))
     buf.write(block)
+    heads = {name for name, _, scope in parameter_layout(ckpt.config)
+             if scope == SCOPE_HEAD}
     names = sorted(ckpt.arrays)
     buf.write(struct.pack("<I", len(names)))
     for name in names:
@@ -133,8 +135,7 @@ def serialize(ckpt: Checkpoint) -> bytes:
         encoded = name.encode("utf-8")
         buf.write(struct.pack("<H", len(encoded)))
         buf.write(encoded)
-        scope = ckpt.scopes[name]
-        buf.write(struct.pack("<B", 1 if scope == SCOPE_HEAD else 0))
+        buf.write(struct.pack("<B", 1 if name in heads else 0))
         buf.write(struct.pack("<B", arr.ndim))
         for dim in arr.shape:
             buf.write(struct.pack("<I", dim))
@@ -178,7 +179,7 @@ def deserialize(data: bytes) -> Checkpoint:
     config, metadata = _decode_config_block(r.take(block_len, "config block"))
     count = r.unpack("<I", "array count")
     arrays: dict[str, np.ndarray] = {}
-    scopes: dict[str, str] = {}
+    file_scope: dict[str, str] = {}
     for _ in range(count):
         name_len = r.unpack("<H", "array name length")
         name = r.take(name_len, "array name").decode("utf-8")
@@ -190,14 +191,13 @@ def deserialize(data: bytes) -> Checkpoint:
         n_values = int(np.prod(shape)) if shape else 1
         raw = r.take(8 * n_values, f"values of {name}")
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        scopes[name] = SCOPE_HEAD if scope_code == 1 else SCOPE_NON_HEAD
+        file_scope[name] = SCOPE_HEAD if scope_code == 1 else SCOPE_NON_HEAD
     if r.offset != len(data):
         raise CheckpointFormatError(
             f"{len(data) - r.offset} trailing bytes at offset {r.offset}"
         )
-    _check_arrays(config, arrays, scopes)
-    return Checkpoint(config=config, arrays=arrays, scopes=scopes,
-                      metadata=metadata, version=version)
+    _check_arrays(config, arrays, file_scope)
+    return Checkpoint(config=config, arrays=arrays, metadata=metadata)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

@@ -68,7 +68,7 @@ def cmd_pretrain(args) -> int:
     out_dir = Path(args.out_dir)
     _prepare_out_dir(out_dir, args.force)
     model_cfg = run.model_config(preset=args.preset, seed=args.seed)
-    train_cfg = run.train_config(seed=args.seed)
+    train_cfg = run.train_config("all", seed=args.seed)
     datasets = run.load_datasets()
     train_mixed, val_mixed = _mixed_pair(datasets)
     ckpt, history = pretrain(model_cfg, train_cfg, train_mixed, val_mixed)
@@ -88,15 +88,8 @@ def cmd_finetune(args) -> int:
     run = parse_run_config(args.config)
     out_dir = Path(args.out_dir)
     _prepare_out_dir(out_dir, args.force)
+    train_cfg = run.train_config("all" if args.full_tune else "head", seed=args.seed)
     source = ckpt_io.load_checkpoint(args.checkpoint)
-    raw_scope = run.get("train", "scope")
-    if args.full_tune:
-        scope = "all"
-    elif raw_scope == "all":
-        raise ConfigError("[train] scope=all requires the --full-tune flag")
-    else:
-        scope = "head"
-    train_cfg = run.train_config(seed=args.seed, scope=scope)
     datasets = run.load_datasets()
     train_mixed, val_mixed = _mixed_pair(datasets)
     tuned, history = finetune_heads(source, train_cfg, train_mixed, val_mixed)
@@ -131,8 +124,10 @@ def cmd_evaluate(args) -> int:
     run = parse_run_config(args.config)
     out_dir = Path(args.out_dir)
     _prepare_out_dir(out_dir, args.force)
-    ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     settings = run.eval_settings()
+    train_cfg = (run.train_config("head", seed=args.seed)
+                 if settings["protocol"] == "few-shot" else None)
+    ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     datasets = run.load_datasets()
     rows = []
     fingerprint = ""
@@ -147,7 +142,6 @@ def cmd_evaluate(args) -> int:
                                         stride=settings["stride"],
                                         threads=args.threads)
         else:
-            train_cfg = run.train_config(seed=args.seed, scope="head")
             report = few_shot_protocol(ckpt, series, split, settings["fraction"],
                                        train_cfg, settings["horizons"],
                                        settings["lookback"],
@@ -158,7 +152,8 @@ def cmd_evaluate(args) -> int:
     combined = EvalReport(rows=rows, fingerprint=fingerprint)
     (out_dir / "report.csv").write_text(report_to_csv(combined), encoding="utf-8")
     (out_dir / "resolved.cfg").write_text(
-        render_resolved(data=run.resolved_data(), eval_settings=settings),
+        render_resolved(train=train_cfg, data=run.resolved_data(),
+                        eval_settings=settings),
         encoding="utf-8",
     )
     print(format_table(combined))
@@ -179,7 +174,7 @@ def cmd_inspect(args) -> int:
     params = ckpt_io.to_params(ckpt)
     total = count_parameters(params, "all")
     head = count_parameters(params, "head")
-    print(f"version = {ckpt.version}")
+    print(f"version = {ckpt_io.VERSION}")
     for f in fields(ckpt.config):
         print(f"{f.name} = {getattr(ckpt.config, f.name)}")
     for key, value in sorted(ckpt.metadata.items()):

@@ -84,8 +84,14 @@ class RunConfig:
             base = ModelConfig()
         return self._build("model", base, seed=seed)
 
-    def train_config(self, seed: int | None = None,
-                     scope: str | None = None) -> TrainConfig:
+    def train_config(self, scope: str, seed: int | None = None) -> TrainConfig:
+        """[train] for a command that trains ``scope``. The command alone picks
+        the scope; a [train] scope key, as resolved.cfg files carry, must name
+        that same scope."""
+        given = self.get("train", "scope", scope)
+        if given != scope:
+            raise ConfigError(f"[train] scope = {given}, but this command trains "
+                              f"scope {scope}")
         return self._build("train", TrainConfig(), seed=seed, scope=scope)
 
     def _build(self, section: str, base, **overrides):

@@ -100,7 +100,8 @@ def _grouped_decoder(forecast_fn):
     return decode
 
 
-def _check_eval_settings(horizons: list[int], lookback_len: int, stride: int,
+def _check_eval_settings(series: MultivariateSeries, split: DatasetSplit,
+                         horizons: list[int], lookback_len: int, stride: int,
                          threads: int) -> None:
     """Reject evaluation settings before any decoding or fine-tuning."""
     if not horizons:
@@ -113,6 +114,13 @@ def _check_eval_settings(horizons: list[int], lookback_len: int, stride: int,
         raise ConfigError(f"threads must be >= 1, got {threads}")
     if lookback_len < 1:
         raise ConfigError(f"lookback must be >= 1, got {lookback_len}")
+    lo, hi = split.test
+    needed = lookback_len + max(horizons)
+    if hi - lo < needed:
+        raise ConfigError(
+            f"test range of {series.name} too short: need {needed} points "
+            f"(lookback {lookback_len} + horizon {max(horizons)}), have {hi - lo}"
+        )
 
 
 def evaluate(
@@ -138,7 +146,7 @@ def evaluate(
     Results are deterministic and row-independent, so ``threads`` only splits
     work: reports are bit-identical at any thread count.
     """
-    _check_eval_settings(horizons, lookback_len, stride, threads)
+    _check_eval_settings(series, split, horizons, lookback_len, stride, threads)
     if forecast_fn is None:
         if ckpt is None:
             raise ConfigError("evaluate needs a checkpoint or a forecast_fn")
@@ -147,13 +155,7 @@ def evaluate(
         decode = _grouped_decoder(forecast_fn)
     lo, hi = split.test
     available = hi - lo
-    longest = max(horizons)
-    needed = lookback_len + longest
-    if available < needed:
-        raise ConfigError(
-            f"test range of {series.name} too short: need {needed} points "
-            f"(lookback {lookback_len} + horizon {longest}), have {available}"
-        )
+    needed = lookback_len + max(horizons)
 
     # origins lo + L + i * stride for i < count[h]; every horizon's origins
     # are a prefix of the shortest horizon's, so each origin is decoded to the
@@ -235,7 +237,7 @@ def few_shot_protocol(
 ) -> EvalReport:
     """Tune heads on the most recent fraction of train data, score full test.
     Every setting is checked before the tuning starts."""
-    _check_eval_settings(horizons, lookback_len, stride, threads)
+    _check_eval_settings(series, split, horizons, lookback_len, stride, threads)
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"few-shot fraction must lie in (0, 1], got {fraction}")
     a, b = split.train

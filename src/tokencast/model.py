@@ -8,13 +8,14 @@ prediction shifted right by one token (zero first token), so the value
 subtracted at position j is the prediction OF token j made at position j-1.
 The model output is the sum of all stage predictions.
 
-Parameters are plain named float64 arrays. The per-stage forecast head is
-tagged scope "head"; everything else is "non-head" and frozen during
-parameter-efficient tuning.
+Parameters are plain named float64 arrays. ``parameter_layout`` is the one
+record of each array's scope: the per-stage forecast head is "head",
+everything else "non-head" and frozen during parameter-efficient tuning.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import Field, dataclass, field, replace
 
@@ -111,12 +112,11 @@ def paper_preset(**overrides) -> ModelConfig:
 class ModelParams:
     config: ModelConfig
     arrays: dict[str, Tensor]
-    scopes: dict[str, str]
 
     def trainable(self, scope: str = "all") -> dict[str, Tensor]:
-        if scope == "all":
-            return dict(self.arrays)
-        return {n: t for n, t in self.arrays.items() if self.scopes[n] == scope}
+        """The arrays of ``scope`` ("all" or a layout scope), in layout order."""
+        return {name: self.arrays[name] for name, _, s in parameter_layout(self.config)
+                if scope in ("all", s)}
 
 
 @dataclass
@@ -187,8 +187,7 @@ def init_model(config: ModelConfig) -> ModelParams:
     config.validate()
     rng = np.random.default_rng(config.seed)
     arrays: dict[str, Tensor] = {}
-    scopes: dict[str, str] = {}
-    for name, shape, scope in parameter_layout(config):
+    for name, shape, _ in parameter_layout(config):
         if name.endswith("pos_table"):
             values = rng.normal(0.0, 0.02, size=shape)
         elif len(shape) == 2:
@@ -198,38 +197,19 @@ def init_model(config: ModelConfig) -> ModelParams:
         else:
             values = np.zeros(shape)
         arrays[name] = Tensor(values, requires_grad=True)
-        scopes[name] = scope
-    return ModelParams(config=config, arrays=arrays, scopes=scopes)
-
-
-def params_from_arrays(
-    config: ModelConfig, raw: dict[str, np.ndarray], scopes: dict[str, str]
-) -> ModelParams:
-    """Rebuild live parameters from plain arrays (checkpoint loading)."""
-    arrays = {n: Tensor(v.copy(), requires_grad=True) for n, v in raw.items()}
-    return ModelParams(config=config, arrays=arrays, scopes=dict(scopes))
+    return ModelParams(config=config, arrays=arrays)
 
 
 def count_parameters(params: ModelParams, scope: str = "all") -> int:
     """Exact scalar count over arrays of the given scope."""
     if scope not in ("all", SCOPE_HEAD, SCOPE_NON_HEAD):
         raise ConfigError(f"unknown scope {scope!r}")
-    total = 0
-    for name, t in params.arrays.items():
-        if scope == "all" or params.scopes[name] == scope:
-            total += t.size
-    return total
+    return sum(t.size for t in params.trainable(scope).values())
 
 
-_MASK_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _causal_mask(n: int) -> np.ndarray:
-    m = _MASK_CACHE.get(n)
-    if m is None:
-        m = np.triu(np.ones((n, n), dtype=bool), k=1)
-        _MASK_CACHE[n] = m
-    return m
+    return np.triu(np.ones((n, n), dtype=bool), k=1)
 
 
 def causal_self_attention(h: Tensor, weights: dict[str, Tensor], num_heads: int) -> Tensor:

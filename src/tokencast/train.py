@@ -237,9 +237,8 @@ def finetune_heads(
 ) -> tuple[Checkpoint, list[EpochStats]]:
     """Continue training from a checkpoint, updating only the configured scope.
 
-    With scope "head" (the default here) every non-head array of the result
-    is bit-identical to the source checkpoint; zero epochs returns an exact
-    copy.
+    With scope "head" every non-head array of the result is bit-identical to
+    the source checkpoint; zero epochs returns an exact copy.
     """
     train_config.validate()
     params = to_params(ckpt)

@@ -31,6 +31,7 @@ from tokencast.model import (
     init_model,
     model_forward,
     paper_preset,
+    parameter_layout,
     stage_forward,
 )
 from tokencast.preprocess import denormalize, instance_normalize
@@ -283,13 +284,14 @@ class TestCriterion5FinetuneScope:
             base, TrainConfig(epochs=2, stride=4, seed=0, scope="head", patience=5),
             train, val,
         )
+        layout = parameter_layout(base.config)
         frozen_ok = all(
             np.array_equal(tuned.arrays[n], base.arrays[n])
-            for n, scope in base.scopes.items() if scope == "non-head"
+            for n, _, scope in layout if scope == "non-head"
         )
         heads_moved = any(
             not np.array_equal(tuned.arrays[n], base.arrays[n])
-            for n, scope in base.scopes.items() if scope == "head"
+            for n, _, scope in layout if scope == "head"
         )
         paper = init_model(paper_preset(model_width=256, attention_heads=8,
                                         feedforward_width=512))

@@ -36,7 +36,6 @@ class TestRoundTrip:
         back = load_checkpoint(path)
         assert back.config == ckpt.config
         assert back.metadata == ckpt.metadata
-        assert back.scopes == ckpt.scopes
         assert set(back.arrays) == set(ckpt.arrays)
         for name in ckpt.arrays:
             np.testing.assert_array_equal(back.arrays[name], ckpt.arrays[name])
@@ -107,15 +106,18 @@ class TestConfigAgreement:
     def test_unexpected_array(self):
         ckpt = small_checkpoint()
         ckpt.arrays["stage2.head.bias"] = np.zeros(4)
-        ckpt.scopes["stage2.head.bias"] = "head"
         with pytest.raises(CheckpointFormatError, match="unexpected.*stage2.head.bias"):
             deserialize(serialize(ckpt))
 
     def test_wrong_scope(self):
-        ckpt = small_checkpoint()
-        ckpt.scopes["stage0.head.weight"] = "non-head"
-        with pytest.raises(CheckpointFormatError, match="scope"):
-            deserialize(serialize(ckpt))
+        data = bytearray(serialize(small_checkpoint()))
+        name = b"stage0.head.weight"
+        at = data.index(struct.pack("<H", len(name)) + name) + 2 + len(name)
+        assert data[at] == 1
+        data[at] = 0
+        with pytest.raises(CheckpointFormatError,
+                           match="stage0.head.weight has scope non-head"):
+            deserialize(bytes(data))
 
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(DataError, match="cannot read checkpoint"):
@@ -150,7 +152,7 @@ class TestConfigRoundTrip:
         cfg.write_text(text)
         run = parse_run_config(cfg)
         assert run.model_config() == self.MODEL
-        assert run.train_config() == self.TRAIN
+        assert run.train_config("head") == self.TRAIN
 
 
 class TestWireFormat:
@@ -169,10 +171,21 @@ class TestWireFormat:
         )
 
     def test_scope_codes_present(self):
-        ckpt = small_checkpoint()
-        data = serialize(ckpt)
-        back = deserialize(data)
-        heads = [n for n, s in back.scopes.items() if s == "head"]
+        data = serialize(small_checkpoint())
+        offset = 16 + struct.unpack("<Q", data[8:16])[0]
+        (count,) = struct.unpack_from("<I", data, offset)
+        offset += 4
+        codes = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", data, offset)
+            name = data[offset + 2:offset + 2 + name_len].decode("utf-8")
+            offset += 2 + name_len
+            codes[name], rank = data[offset], data[offset + 1]
+            shape = struct.unpack_from(f"<{rank}I", data, offset + 2)
+            offset += 2 + 4 * rank + 8 * int(np.prod(shape))
+        assert offset == len(data)
+        assert set(codes.values()) == {0, 1}
+        heads = [n for n, code in codes.items() if code == 1]
         assert sorted(heads) == [
             "stage0.head.bias", "stage0.head.weight",
             "stage1.head.bias", "stage1.head.weight",

@@ -8,7 +8,7 @@ from tokencast.checkpoint import from_params, load_checkpoint, save_checkpoint
 from tokencast.config import _ini_fields, parse_components, parse_run_config
 from tokencast.data import NoiseComponent, SineComponent, TrendComponent
 from tokencast.errors import ConfigError, ShapeError
-from tokencast.model import ModelConfig, init_model
+from tokencast.model import ModelConfig, init_model, parameter_layout
 from tokencast.train import TrainConfig
 
 TINY_MODEL_SECTION = """\
@@ -43,6 +43,14 @@ def synth_csv(tmp_path):
     out = tmp_path / "mix.csv"
     assert main(["synth", str(cfg), str(out)]) == 0
     return out
+
+
+@pytest.fixture
+def pretrained(tmp_path, synth_csv):
+    cfg = write_train_cfg(tmp_path, synth_csv)
+    out = tmp_path / "pre"
+    assert main(["pretrain", str(cfg), str(out)]) == 0
+    return out / "model.ckpt"
 
 
 def write_train_cfg(tmp_path, csv_path, extra=""):
@@ -219,33 +227,69 @@ class TestPretrainCommand:
         assert main(["pretrain", str(cfg), str(out)]) == 2
         assert main(["--force", "pretrain", str(cfg), str(out)]) == 0
 
-    def test_resolved_config_reruns_identically(self, tmp_path, synth_csv):
-        cfg = write_train_cfg(tmp_path, synth_csv)
-        out1 = tmp_path / "o1"
-        assert main(["pretrain", str(cfg), str(out1)]) == 0
-        resolved = out1 / "resolved.cfg"
-        out2 = tmp_path / "o2"
-        assert main(["pretrain", str(resolved), str(out2)]) == 0
-        assert (out1 / "model.ckpt").read_bytes() == (out2 / "model.ckpt").read_bytes()
+
+FEW_SHOT_EVAL = "[eval]\nprotocol = few-shot\nfraction = 0.5\nhorizons = 4,8\nlookback = 12\n"
+
+
+def command_run(command, tmp_path, synth_csv, pretrained, scope=None):
+    """(arguments before the config, config path) of ``command`` on synth_csv;
+    "full-tune" is finetune --full-tune and "few-shot" is evaluate under the
+    few-shot protocol. A ``scope`` is written as the [train] scope key."""
+    head = {"pretrain": ["pretrain"], "finetune": ["finetune", str(pretrained)],
+            "full-tune": ["finetune", "--full-tune", str(pretrained)],
+            "few-shot": ["evaluate", str(pretrained)]}[command]
+    cfg = write_train_cfg(tmp_path, synth_csv,
+                          extra=FEW_SHOT_EVAL if command == "few-shot" else "")
+    if scope is not None:
+        cfg.write_text(cfg.read_text().replace("[train]\n", f"[train]\nscope = {scope}\n"))
+    return head, cfg
+
+
+class TestResolvedConfig:
+    @pytest.mark.parametrize("command,artifact", [
+        ("pretrain", "model.ckpt"), ("finetune", "model.ckpt"),
+        ("full-tune", "model.ckpt"), ("few-shot", "report.csv"),
+    ], ids=["pretrain", "finetune", "full-tune", "few-shot"])
+    def test_resolved_config_reruns_identically(self, tmp_path, synth_csv, pretrained,
+                                                command, artifact):
+        head, cfg = command_run(command, tmp_path, synth_csv, pretrained)
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(head + [str(cfg), str(out1)]) == 0
+        assert main(head + [str(out1 / "resolved.cfg"), str(out2)]) == 0
+        assert (out1 / artifact).read_bytes() == (out2 / artifact).read_bytes()
+        assert (out1 / "resolved.cfg").read_text() == (out2 / "resolved.cfg").read_text()
+
+
+class TestTrainedScope:
+    # the command picks the trained scope; a [train] scope key must agree
+    @pytest.mark.parametrize("command,scope", [
+        ("pretrain", "head"), ("finetune", "bogus"), ("full-tune", "head"),
+        ("few-shot", "all"),
+    ])
+    def test_disagreeing_scope_key_exits_2(self, tmp_path, synth_csv, pretrained, capsys,
+                                           command, scope):
+        head, cfg = command_run(command, tmp_path, synth_csv, pretrained, scope)
+        capsys.readouterr()
+        assert main(head + [str(cfg), str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [train] scope = {scope}, but this "
+                              "command trains scope ")
+        assert err.count("\n") == 1
+
+
+def non_head_names(config):
+    return [name for name, _, scope in parameter_layout(config) if scope == "non-head"]
 
 
 class TestFinetuneCommand:
-    @pytest.fixture
-    def pretrained(self, tmp_path, synth_csv):
-        cfg = write_train_cfg(tmp_path, synth_csv)
-        out = tmp_path / "pre"
-        assert main(["pretrain", str(cfg), str(out)]) == 0
-        return out / "model.ckpt"
-
     def test_default_scope_preserves_non_heads(self, tmp_path, synth_csv, pretrained):
         cfg = write_train_cfg(tmp_path, synth_csv)
         out = tmp_path / "ft"
         assert main(["finetune", str(pretrained), str(cfg), str(out)]) == 0
         src = load_checkpoint(pretrained)
         tuned = load_checkpoint(out / "model.ckpt")
-        for name, scope in src.scopes.items():
-            if scope == "non-head":
-                np.testing.assert_array_equal(tuned.arrays[name], src.arrays[name])
+        for name in non_head_names(src.config):
+            np.testing.assert_array_equal(tuned.arrays[name], src.arrays[name])
 
     def test_full_tune_flag(self, tmp_path, synth_csv, pretrained):
         cfg = write_train_cfg(tmp_path, synth_csv)
@@ -253,9 +297,8 @@ class TestFinetuneCommand:
         assert main(["finetune", str(pretrained), str(cfg), str(out), "--full-tune"]) == 0
         src = load_checkpoint(pretrained)
         tuned = load_checkpoint(out / "model.ckpt")
-        moved = [n for n in src.arrays
-                 if not np.array_equal(tuned.arrays[n], src.arrays[n])]
-        assert any(src.scopes[n] == "non-head" for n in moved)
+        assert any(not np.array_equal(tuned.arrays[n], src.arrays[n])
+                   for n in non_head_names(src.config))
 
     def test_scope_all_without_flag_rejected(self, tmp_path, synth_csv, pretrained):
         cfg = write_train_cfg(tmp_path, synth_csv)
@@ -278,13 +321,6 @@ class TestFinetuneCommand:
 
 
 class TestForecastCommand:
-    @pytest.fixture
-    def pretrained(self, tmp_path, synth_csv):
-        cfg = write_train_cfg(tmp_path, synth_csv)
-        out = tmp_path / "pre"
-        assert main(["pretrain", str(cfg), str(out)]) == 0
-        return out / "model.ckpt"
-
     @pytest.mark.parametrize("horizon", [4, 6, 11])
     def test_row_count_matches_horizon(self, tmp_path, synth_csv, pretrained, horizon, capsys):
         out_csv = tmp_path / f"fc{horizon}.csv"
@@ -307,13 +343,6 @@ class TestForecastCommand:
 
 
 class TestEvaluateCommand:
-    @pytest.fixture
-    def pretrained(self, tmp_path, synth_csv):
-        cfg = write_train_cfg(tmp_path, synth_csv)
-        out = tmp_path / "pre"
-        assert main(["pretrain", str(cfg), str(out)]) == 0
-        return out / "model.ckpt"
-
     def eval_cfg(self, tmp_path, synth_csv, extra_eval=""):
         cfg = tmp_path / "eval.cfg"
         cfg.write_text(

@@ -270,7 +270,8 @@ class TestFewShot:
 
     @pytest.mark.parametrize("horizons,stride,lookback,threads", [
         ([0], 1, 12, 1), ([8], 0, 12, 1), ([8], 1, 0, 1), ([8], 1, 12, 0),
-    ], ids=["horizons", "stride", "lookback", "threads"])
+        ([96], 1, 12, 1),
+    ], ids=["horizons", "stride", "lookback", "threads", "test_range"])
     def test_bad_settings_rejected_before_tuning(self, tiny_ckpt, monkeypatch, horizons,
                                                  stride, lookback, threads):
         import tokencast.evaluate as ev
@@ -279,7 +280,7 @@ class TestFewShot:
         monkeypatch.setattr(ev, "finetune_heads", lambda *args: calls.append(args))
         series = sine_series("f", 24, length=300)
         split = chronological_split(series, 0.6, 0.2, 0.2)
-        with pytest.raises(ConfigError, match="horizons|stride|lookback|threads"):
+        with pytest.raises(ConfigError, match="horizons|stride|lookback|threads|too short"):
             few_shot_protocol(tiny_ckpt, series, split, 0.5,
                               TrainConfig(epochs=1, scope="head"), horizons,
                               lookback_len=lookback, stride=stride, threads=threads)

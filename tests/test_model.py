@@ -79,9 +79,10 @@ class TestInit:
         params = tiny_params()
         layout = parameter_layout(TINY)
         assert [name for name, _, _ in layout] == list(params.arrays)
-        for name, shape, scope in layout:
+        for name, shape, _ in layout:
             assert params.arrays[name].shape == shape
-            assert params.scopes[name] == scope
+        assert sorted(params.trainable("head")) == sorted(
+            n for n in params.arrays if ".head." in n)
 
 
 class TestCountParameters:
@@ -186,9 +187,8 @@ class TestModelForward:
 
     def test_zero_heads_zero_output_same_stage_inputs(self, rng):
         params = tiny_params()
-        for name in params.arrays:
-            if params.scopes[name] == "head":
-                params.arrays[name].values[:] = 0.0
+        for t in params.trainable("head").values():
+            t.values[:] = 0.0
         tokens = rng.normal(size=(3, 4))
         out = model_forward(params, tokens)
         np.testing.assert_array_equal(out.prediction.values, np.zeros((3, 4)))
