@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import CheckpointFormatError, CheckpointVersionError, DataError
+from .errors import CheckpointFormatError, CheckpointVersionError, ConfigError, DataError
 from .model import (
     SCOPE_HEAD,
     SCOPE_NON_HEAD,
@@ -66,6 +66,10 @@ def to_params(ckpt: Checkpoint) -> ModelParams:
 
 
 def _encode_config_block(config: ModelConfig, metadata: dict[str, str]) -> bytes:
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise CheckpointFormatError(f"invalid config: {exc}") from exc
     lines = [f"{f.name}={format_value(getattr(config, f.name))}" for f in fields(config)]
     for key in sorted(metadata):
         value = metadata[key]

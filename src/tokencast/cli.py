@@ -10,14 +10,19 @@ output bytes at any --threads count.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from . import checkpoint as ckpt_io
 from .config import parse_run_config, render_resolved
-from .data import build_mixed_dataset, load_csv_dataset, synth_generate, write_csv_dataset
+from .data import (
+    MultivariateSeries,
+    build_mixed_dataset,
+    load_csv_dataset,
+    synth_generate,
+    write_csv_dataset,
+)
 from .errors import (
     CheckpointFormatError,
     ConfigError,
@@ -27,14 +32,7 @@ from .errors import (
     ProtocolError,
     ShapeError,
 )
-from .evaluate import (
-    EvalReport,
-    evaluate,
-    few_shot_protocol,
-    format_table,
-    report_to_csv,
-    zero_shot_protocol,
-)
+from .evaluate import EvalReport, format_table, report_to_csv, run_protocol
 from .infer import ForecastRequest, ar_forecast
 from .model import count_parameters
 from .train import finetune_heads, pretrain, write_loss_curve
@@ -46,10 +44,12 @@ EXIT_NUMERIC = 4
 EXIT_PROTOCOL = 5
 
 
-def _prepare_out_dir(out_dir: Path, force: bool) -> None:
+def _refuse_nonempty(out_dir: Path, force: bool) -> None:
+    """Checked before any work. Each command makes the directory only once its
+    settings, checkpoint and datasets have loaded, so a run rejected on those
+    leaves none behind."""
     if out_dir.exists() and any(out_dir.iterdir()) and not force:
         raise ConfigError(f"output directory {out_dir} is not empty (use --force)")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
 
 def _mixed_pair(datasets):
@@ -66,10 +66,11 @@ def _save_checkpoint_atomic(ckpt, path: Path) -> None:
 def cmd_pretrain(args) -> int:
     run = parse_run_config(args.config)
     out_dir = Path(args.out_dir)
-    _prepare_out_dir(out_dir, args.force)
+    _refuse_nonempty(out_dir, args.force)
     model_cfg = run.model_config(preset=args.preset, seed=args.seed)
     train_cfg = run.train_config("all", seed=args.seed)
     datasets = run.load_datasets()
+    out_dir.mkdir(parents=True, exist_ok=True)
     train_mixed, val_mixed = _mixed_pair(datasets)
     ckpt, history = pretrain(model_cfg, train_cfg, train_mixed, val_mixed)
     _save_checkpoint_atomic(ckpt, out_dir / "model.ckpt")
@@ -87,10 +88,11 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     run = parse_run_config(args.config)
     out_dir = Path(args.out_dir)
-    _prepare_out_dir(out_dir, args.force)
+    _refuse_nonempty(out_dir, args.force)
     train_cfg = run.train_config("all" if args.full_tune else "head", seed=args.seed)
     source = ckpt_io.load_checkpoint(args.checkpoint)
     datasets = run.load_datasets()
+    out_dir.mkdir(parents=True, exist_ok=True)
     train_mixed, val_mixed = _mixed_pair(datasets)
     tuned, history = finetune_heads(source, train_cfg, train_mixed, val_mixed)
     _save_checkpoint_atomic(tuned, out_dir / "model.ckpt")
@@ -111,11 +113,7 @@ def cmd_forecast(args) -> int:
     series = load_csv_dataset(args.input_csv, Path(args.input_csv).stem)
     params = ckpt_io.to_params(ckpt)
     result = ar_forecast(params, ForecastRequest(series.values, args.horizon))
-    with open(args.out_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"ch{i}" for i in range(result.predictions.shape[0])])
-        for t in range(args.horizon):
-            writer.writerow([repr(float(v)) for v in result.predictions[:, t]])
+    write_csv_dataset(MultivariateSeries(series.name, result.predictions), args.out_csv)
     print(f"decode_steps={result.decode_steps}", file=sys.stderr)
     return EXIT_OK
 
@@ -123,37 +121,20 @@ def cmd_forecast(args) -> int:
 def cmd_evaluate(args) -> int:
     run = parse_run_config(args.config)
     out_dir = Path(args.out_dir)
-    _prepare_out_dir(out_dir, args.force)
+    _refuse_nonempty(out_dir, args.force)
     settings = run.eval_settings()
     train_cfg = (run.train_config("head", seed=args.seed)
-                 if settings["protocol"] == "few-shot" else None)
+                 if settings.protocol == "few-shot" else None)
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     datasets = run.load_datasets()
-    rows = []
-    fingerprint = ""
-    for series, split in datasets:
-        if settings["protocol"] == "standard":
-            report = evaluate(ckpt, series, split, settings["horizons"],
-                              settings["lookback"], stride=settings["stride"],
-                              threads=args.threads)
-        elif settings["protocol"] == "zero-shot":
-            report = zero_shot_protocol(ckpt, series, split, settings["horizons"],
-                                        settings["lookback"],
-                                        stride=settings["stride"],
-                                        threads=args.threads)
-        else:
-            report = few_shot_protocol(ckpt, series, split, settings["fraction"],
-                                       train_cfg, settings["horizons"],
-                                       settings["lookback"],
-                                       stride=settings["stride"],
-                                       threads=args.threads)
-        rows.extend(report.rows)
-        fingerprint = report.fingerprint
-    combined = EvalReport(rows=rows, fingerprint=fingerprint)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    reports = [run_protocol(ckpt, series, split, settings, train_cfg, args.threads)
+               for series, split in datasets]
+    combined = EvalReport(rows=[row for report in reports for row in report.rows],
+                          fingerprint=reports[-1].fingerprint)
     (out_dir / "report.csv").write_text(report_to_csv(combined), encoding="utf-8")
     (out_dir / "resolved.cfg").write_text(
-        render_resolved(train=train_cfg, data=run.resolved_data(),
-                        eval_settings=settings),
+        render_resolved(train=train_cfg, data=run.resolved_data(), evaluation=settings),
         encoding="utf-8",
     )
     print(format_table(combined))

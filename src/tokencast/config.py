@@ -1,13 +1,14 @@
 """Flat INI-style run configuration: typed key=value pairs under [model],
 [train], [data], [synth] and [eval] sections.
 
-The [model] and [train] keys are the fields of ``ModelConfig`` and
-``TrainConfig``, in field order, each parsed and formatted by the type of its
-default (``model.parse_field`` and ``format_value``). The one table here,
-``_MODEL_INI_KEYS``, names the four [model] keys that differ from their field
-(``stages``, ``width``, ``heads``, ``dropout``); every other key is its field
-name, so a field added to either dataclass is read, validated and written
-back without another edit.
+The [model], [train] and [eval] keys are the fields of ``ModelConfig``,
+``TrainConfig`` and ``EvalSettings``, in field order, each parsed and
+formatted by the type of its default (``model.parse_field`` and
+``format_value``). The one table here, ``_MODEL_INI_KEYS``, names the four
+[model] keys that differ from their field (``stages``, ``width``, ``heads``,
+``dropout``); every other key is its field name, so a field added to any of
+the three dataclasses is read, validated and written back without another
+edit.
 
 Unknown sections or keys are rejected. Every command echoes the fully
 resolved configuration (defaults included, dataset paths absolute) into its
@@ -32,6 +33,7 @@ from .data import (
     load_csv_dataset,
 )
 from .errors import ConfigError
+from .evaluate import EvalSettings
 from .model import ModelConfig, format_value, paper_preset, parse_field
 from .train import TrainConfig
 
@@ -56,7 +58,7 @@ _SECTIONS = {
     "train": _ini_fields(TrainConfig).keys(),
     "data": {"datasets", "split"},
     "synth": {"name", "length", "channels", "components", "seed"},
-    "eval": {"protocol", "horizons", "lookback", "stride", "fraction"},
+    "eval": _ini_fields(EvalSettings).keys(),
 }
 
 
@@ -175,27 +177,8 @@ class RunConfig:
             gen_seed = seed
         return spec, gen_seed
 
-    def eval_settings(self) -> dict:
-        raw = self.sections.get("eval", {})
-        horizons = [_cast(int, h, "eval", "horizons")
-                    for h in raw.get("horizons", "96").split(",") if h.strip()]
-        if not horizons or any(h < 1 for h in horizons):
-            raise ConfigError(f"[eval] horizons invalid: {raw.get('horizons')!r}")
-        settings = {
-            "protocol": raw.get("protocol", "standard"),
-            "horizons": horizons,
-            "lookback": _cast(int, raw.get("lookback", "336"), "eval", "lookback"),
-            "stride": _cast(int, raw.get("stride", "1"), "eval", "stride"),
-            "fraction": (
-                _cast(float, raw["fraction"], "eval", "fraction")
-                if "fraction" in raw else None
-            ),
-        }
-        if settings["protocol"] not in ("standard", "zero-shot", "few-shot"):
-            raise ConfigError(f"[eval] protocol {settings['protocol']!r} unknown")
-        if settings["protocol"] == "few-shot" and settings["fraction"] is None:
-            raise ConfigError("[eval] few-shot protocol requires fraction")
-        return settings
+    def eval_settings(self) -> EvalSettings:
+        return self._build("eval", EvalSettings())
 
 
 def _cast(cast, value: str, section: str, key: str):
@@ -293,23 +276,20 @@ def render_resolved(
     model: ModelConfig | None = None,
     train: TrainConfig | None = None,
     data: dict[str, str] | None = None,
-    synth: dict[str, str] | None = None,
-    eval_settings: dict | None = None,
+    evaluation: EvalSettings | None = None,
 ) -> str:
     """Render the fully resolved configuration for the run directory."""
     sections = {
         "model": _ini_values(model),
         "train": _ini_values(train),
         "data": data,
-        "synth": synth,
-        "eval": eval_settings,
+        "eval": _ini_values(evaluation),
     }
     lines: list[str] = []
     for name, body in sections.items():
         if body:
             lines.append(f"[{name}]")
-            lines.extend(f"{key} = {format_value(value)}"
-                         for key, value in body.items() if value is not None)
+            lines.extend(f"{key} = {format_value(value)}" for key, value in body.items())
             lines.append("")
     return "\n".join(lines)
 

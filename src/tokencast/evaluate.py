@@ -1,10 +1,11 @@
 """Metrics, naive baseline oracles, and the evaluation protocols.
 
 ``evaluate`` slides windows over a dataset's test range and scores forecasts
-per horizon; the zero-shot variant additionally refuses datasets that were
-part of the checkpoint's pretraining mix, and the few-shot variant tunes the
-forecast heads on the most recent fraction of the training range first.
-Metrics are computed in series units on denormalized outputs.
+per horizon. ``run_protocol`` is the one entry point for the three protocols
+an ``EvalSettings`` names: standard evaluates directly, zero-shot first
+refuses datasets that were part of the checkpoint's pretraining mix, and
+few-shot first tunes the forecast heads on the most recent fraction of the
+training range. Metrics are computed in series units on denormalized outputs.
 """
 
 from __future__ import annotations
@@ -22,6 +23,28 @@ from .data import DatasetSplit, MultivariateSeries, build_mixed_dataset
 from .errors import ConfigError, ProtocolError, ShapeError
 from .infer import _decode_batch
 from .train import TrainConfig, finetune_heads
+
+
+@dataclass(frozen=True)
+class EvalSettings:
+    protocol: str = "standard"  # "standard", "zero-shot" or "few-shot"
+    horizons: tuple[int, ...] = (96,)
+    lookback: int = 336
+    stride: int = 1
+    fraction: float = 0.0  # few-shot: most recent share of the train range
+
+    def validate(self) -> None:
+        if self.protocol not in ("standard", "zero-shot", "few-shot"):
+            raise ConfigError(f"protocol {self.protocol!r} unknown")
+        if not self.horizons:
+            raise ConfigError("need at least one horizon")
+        if min(self.horizons) < 1:
+            raise ConfigError(f"horizons must be >= 1, got {sorted(self.horizons)}")
+        for name in ("lookback", "stride"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.protocol == "few-shot" and not 0.0 < self.fraction <= 1.0:
+            raise ConfigError(f"few-shot fraction must lie in (0, 1], got {self.fraction}")
 
 
 @dataclass(frozen=True)
@@ -101,25 +124,18 @@ def _grouped_decoder(forecast_fn):
 
 
 def _check_eval_settings(series: MultivariateSeries, split: DatasetSplit,
-                         horizons: list[int], lookback_len: int, stride: int,
-                         threads: int) -> None:
+                         settings: EvalSettings, threads: int) -> None:
     """Reject evaluation settings before any decoding or fine-tuning."""
-    if not horizons:
-        raise ConfigError("need at least one horizon")
-    if min(horizons) < 1:
-        raise ConfigError(f"horizons must be >= 1, got {sorted(horizons)}")
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
+    settings.validate()
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    if lookback_len < 1:
-        raise ConfigError(f"lookback must be >= 1, got {lookback_len}")
     lo, hi = split.test
-    needed = lookback_len + max(horizons)
+    needed = settings.lookback + max(settings.horizons)
     if hi - lo < needed:
         raise ConfigError(
             f"test range of {series.name} too short: need {needed} points "
-            f"(lookback {lookback_len} + horizon {max(horizons)}), have {hi - lo}"
+            f"(lookback {settings.lookback} + horizon {max(settings.horizons)}), "
+            f"have {hi - lo}"
         )
 
 
@@ -146,7 +162,8 @@ def evaluate(
     Results are deterministic and row-independent, so ``threads`` only splits
     work: reports are bit-identical at any thread count.
     """
-    _check_eval_settings(series, split, horizons, lookback_len, stride, threads)
+    _check_eval_settings(series, split, EvalSettings(
+        horizons=tuple(horizons), lookback=lookback_len, stride=stride), threads)
     if forecast_fn is None:
         if ckpt is None:
             raise ConfigError("evaluate needs a checkpoint or a forecast_fn")
@@ -204,50 +221,40 @@ def evaluate(
     return EvalReport(rows=rows, fingerprint=fingerprint)
 
 
-def zero_shot_protocol(
+def run_protocol(
     ckpt: Checkpoint,
     series: MultivariateSeries,
     split: DatasetSplit,
-    horizons: list[int],
-    lookback_len: int,
-    stride: int = 1,
+    settings: EvalSettings,
+    train_config: TrainConfig | None = None,
     threads: int = 1,
 ) -> EvalReport:
-    """Evaluate directly, refusing targets that were in the pretraining mix."""
-    sources = [s for s in ckpt.metadata.get("train_sources", "").split(",") if s]
-    if series.name in sources:
-        raise ProtocolError(
-            f"zero-shot violation: {series.name} is one of the checkpoint's "
-            f"pretraining sources ({', '.join(sources)})"
-        )
-    return evaluate(ckpt, series, split, horizons, lookback_len,
-                    stride=stride, threads=threads)
+    """Score ``ckpt`` on ``series`` under ``settings.protocol``.
 
-
-def few_shot_protocol(
-    ckpt: Checkpoint,
-    series: MultivariateSeries,
-    split: DatasetSplit,
-    fraction: float,
-    train_config: TrainConfig,
-    horizons: list[int],
-    lookback_len: int,
-    stride: int = 1,
-    threads: int = 1,
-) -> EvalReport:
-    """Tune heads on the most recent fraction of train data, score full test.
-    Every setting is checked before the tuning starts."""
-    _check_eval_settings(series, split, horizons, lookback_len, stride, threads)
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"few-shot fraction must lie in (0, 1], got {fraction}")
-    a, b = split.train
-    keep = int((b - a) * fraction)
-    reduced = replace(split, train=(b - keep, b))
-    train_mixed = build_mixed_dataset([(series, reduced)], "train")
-    val_mixed = build_mixed_dataset([(series, reduced)], "validation")
-    tuned, _ = finetune_heads(ckpt, train_config, train_mixed, val_mixed)
-    return evaluate(tuned, series, split, horizons, lookback_len,
-                    stride=stride, threads=threads)
+    Every setting is checked first. Zero-shot then refuses a target that was
+    in the pretraining mix; few-shot tunes the heads with ``train_config`` on
+    the most recent ``settings.fraction`` of the train range. The full test
+    range is scored in every protocol.
+    """
+    _check_eval_settings(series, split, settings, threads)
+    if settings.protocol == "zero-shot":
+        sources = [s for s in ckpt.metadata.get("train_sources", "").split(",") if s]
+        if series.name in sources:
+            raise ProtocolError(
+                f"zero-shot violation: {series.name} is one of the checkpoint's "
+                f"pretraining sources ({', '.join(sources)})"
+            )
+    elif settings.protocol == "few-shot":
+        if train_config is None:
+            raise ConfigError("few-shot protocol needs a TrainConfig to tune the heads")
+        a, b = split.train
+        keep = int((b - a) * settings.fraction)
+        reduced = replace(split, train=(b - keep, b))
+        train_mixed = build_mixed_dataset([(series, reduced)], "train")
+        val_mixed = build_mixed_dataset([(series, reduced)], "validation")
+        ckpt, _ = finetune_heads(ckpt, train_config, train_mixed, val_mixed)
+    return evaluate(ckpt, series, split, list(settings.horizons), settings.lookback,
+                    stride=settings.stride, threads=threads)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from tokencast.autodiff import Tensor, backward
+from tokencast.checkpoint import serialize
+from tokencast.model import format_value
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -50,6 +54,20 @@ def check_gradient(build_loss, x0: np.ndarray, rtol: float = 1e-4, step: float =
     err = relative_error(analytic, numeric)
     assert err < rtol, f"gradient mismatch: rel err {err:.3e} >= {rtol}"
     return err
+
+
+def serialize_with_config(ckpt, **changes) -> bytes:
+    """``ckpt`` serialized, then ``changes`` written into its config block.
+
+    ``serialize`` refuses a config that fails validation, so a file that
+    carries one is made by editing the block in the bytes.
+    """
+    data = serialize(ckpt)
+    (length,) = struct.unpack_from("<Q", data, 8)
+    lines = dict(line.split("=", 1) for line in data[16:16 + length].decode().splitlines())
+    lines.update((key, format_value(value)) for key, value in changes.items())
+    block = "\n".join(f"{key}={value}" for key, value in lines.items()).encode()
+    return data[:8] + struct.pack("<Q", len(block)) + block + data[16 + length:]
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from tokencast.data import (
     synth_generate,
 )
 from tokencast.errors import ProtocolError
-from tokencast.evaluate import evaluate, naive_baselines, zero_shot_protocol
+from tokencast.evaluate import EvalSettings, evaluate, naive_baselines, run_protocol
 from tokencast.infer import ForecastRequest, ar_forecast
 from tokencast.model import (
     ModelConfig,
@@ -351,15 +351,16 @@ class TestCriterion8ZeroShot:
     def test_zero_shot_transfer(self, humility_ckpt):
         target, tsplit = make_source("p48target", [SineComponent(48, 1.0), NOISE],
                                      seed=300)
+        zero_shot = EvalSettings("zero-shot", (96,), 168, stride=9)
         # the guard must reject a pretraining source
         seen, seen_split = make_source("s24", [SineComponent(24, 1.0), NOISE], seed=200)
         guard_ok = False
         try:
-            zero_shot_protocol(humility_ckpt, seen, seen_split, [96], 168, stride=9)
+            run_protocol(humility_ckpt, seen, seen_split, zero_shot)
         except ProtocolError:
             guard_ok = True
         before = checkpoint_hash(humility_ckpt)
-        zs = zero_shot_protocol(humility_ckpt, target, tsplit, [96], 168, stride=9)
+        zs = run_protocol(humility_ckpt, target, tsplit, zero_shot)
         after = checkpoint_hash(humility_ckpt)
         pers = evaluate(None, target, tsplit, [96], 168, stride=9,
                         forecast_fn=persistence_fn)

@@ -18,6 +18,8 @@ from tokencast.errors import CheckpointFormatError, CheckpointVersionError, Data
 from tokencast.model import ModelConfig, init_model
 from tokencast.train import TrainConfig
 
+from conftest import serialize_with_config
+
 
 def small_checkpoint():
     cfg = ModelConfig(num_stages=2, pool_kernels=(2, 1), token_len=4, max_tokens=3,
@@ -92,10 +94,16 @@ class TestConfigAgreement:
             deserialize(serialize(ckpt))
 
     def test_invalid_config_block(self):
-        ckpt = small_checkpoint()
-        ckpt.config = replace(ckpt.config, pool_kernels=(3, 1))
+        data = serialize_with_config(small_checkpoint(), pool_kernels=(3, 1))
         with pytest.raises(CheckpointFormatError, match="invalid config block"):
-            deserialize(serialize(ckpt))
+            deserialize(data)
+
+    @pytest.mark.parametrize("pool_kernels", [(3, 1), (0, 1)])
+    def test_serialize_rejects_invalid_config(self, pool_kernels):
+        ckpt = small_checkpoint()
+        ckpt.config = replace(ckpt.config, pool_kernels=pool_kernels)
+        with pytest.raises(CheckpointFormatError, match="invalid config: pool kernel"):
+            serialize(ckpt)
 
     def test_missing_array(self):
         ckpt = small_checkpoint()

@@ -1,15 +1,16 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from tokencast.cli import main
-from tokencast.checkpoint import from_params, load_checkpoint, save_checkpoint
+from tokencast.checkpoint import from_params, load_checkpoint
 from tokencast.config import _ini_fields, parse_components, parse_run_config
 from tokencast.data import NoiseComponent, SineComponent, TrendComponent
 from tokencast.errors import ConfigError, ShapeError
+from tokencast.evaluate import EvalSettings
 from tokencast.model import ModelConfig, init_model, parameter_layout
 from tokencast.train import TrainConfig
+
+from conftest import serialize_with_config
 
 TINY_MODEL_SECTION = """\
 [model]
@@ -174,22 +175,29 @@ class TestPretrainCommand:
         assert setting.split(" =")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,key", [
-        (section, key) for section, cls in (("model", ModelConfig), ("train", TrainConfig))
+        (section, key) for section, cls in (("model", ModelConfig), ("train", TrainConfig),
+                                            ("eval", EvalSettings))
         for key in _ini_fields(cls)
     ])
-    def test_every_field_value_exits_0_or_2(self, tmp_path, synth_csv, capsys, section, key):
-        # every [model]/[train] field, including fields added later, must
-        # either run or be rejected as a config error, never a traceback
+    def test_every_field_value_exits_0_or_2(self, tmp_path, synth_csv, capsys, request,
+                                            section, key):
+        # every [model]/[train]/[eval] field, including fields added later, must
+        # either run or be rejected as a config error, never a traceback; [eval]
+        # fields run a few-shot evaluate, the protocol that reads them all
         bodies = {"model": TINY_MODEL_SECTION,
-                  "train": TRAIN_SECTION.replace("epochs = 2", "epochs = 1")}
+                  "train": TRAIN_SECTION.replace("epochs = 2", "epochs = 1"),
+                  "eval": FEW_SHOT_EVAL}
+        head = (["evaluate", str(request.getfixturevalue("pretrained"))]
+                if section == "eval" else ["pretrain"])
         for value in ("0", "-1", "abc"):
             lines = [line for line in bodies[section].splitlines()
                      if not line.startswith(f"{key} =")]
             lines.insert(1, f"{key} = {value}")
-            text = "\n".join(lines) + "\n" + bodies["train" if section == "model" else "model"]
+            text = "\n".join(lines) + "\n" + "".join(
+                body for name, body in bodies.items() if name != section)
             cfg = tmp_path / "sweep.cfg"
             cfg.write_text(text + f"[data]\ndatasets = mix={synth_csv.name}\n")
-            code = main(["pretrain", str(cfg), str(tmp_path / f"out{value}")])
+            code = main(head + [str(cfg), str(tmp_path / f"out{value}")])
             err = capsys.readouterr().err
             assert code in (0, 2), f"[{section}] {key} = {value}: exit {code}"
             assert code == 0 or err.startswith("config error:"), err
@@ -275,6 +283,22 @@ class TestTrainedScope:
         assert err.startswith(f"config error: [train] scope = {scope}, but this "
                               "command trains scope ")
         assert err.count("\n") == 1
+
+
+class TestRejectedRun:
+    # a run that exits 2 on its settings leaves no output directory behind
+    @pytest.mark.parametrize("command,old,new", [
+        ("pretrain", "[train]\n", "[train]\nscope = head\n"),
+        ("finetune", "[train]\n", "[train]\nscope = all\n"),
+        ("few-shot", "horizons = 4,8", "horizons = 0"),
+    ], ids=["pretrain", "finetune", "evaluate"])
+    def test_config_error_leaves_no_out_dir(self, tmp_path, synth_csv, pretrained,
+                                            command, old, new):
+        head, cfg = command_run(command, tmp_path, synth_csv, pretrained)
+        cfg.write_text(cfg.read_text().replace(old, new))
+        out = tmp_path / "out"
+        assert main(head + [str(cfg), str(out)]) == 2
+        assert not out.exists()
 
 
 def non_head_names(config):
@@ -399,7 +423,7 @@ class TestEvaluateCommand:
             "[eval]\nhorizons = 4,abc\nlookback = 12\n"
         )
         assert main(["evaluate", str(pretrained), str(cfg), str(tmp_path / "h")]) == 2
-        assert "[eval] horizons='abc'" in capsys.readouterr().err
+        assert "[eval] horizons='4,abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_bad_threads_exits_2(self, tmp_path, synth_csv, pretrained, capsys, threads):
@@ -436,7 +460,7 @@ class TestEvaluateCommand:
         def mismatched(*args, **kwargs):
             raise ShapeError("metrics shapes disagree: (2, 4) vs (2, 8)")
 
-        monkeypatch.setattr("tokencast.cli.evaluate", mismatched)
+        monkeypatch.setattr("tokencast.evaluate.evaluate", mismatched)
         cfg = self.eval_cfg(tmp_path, synth_csv)
         assert main(["evaluate", str(pretrained), str(cfg), str(tmp_path / "s")]) == 3
         assert "data error: metrics shapes disagree" in capsys.readouterr().err
@@ -460,10 +484,9 @@ class TestCheckpointValidation:
                          feedforward_width=8, seed=3)
 
     def write_checkpoint(self, tmp_path, **config_changes):
-        ckpt = from_params(init_model(self.CONFIG))
-        ckpt.config = replace(self.CONFIG, **config_changes)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(ckpt, path)
+        path.write_bytes(serialize_with_config(from_params(init_model(self.CONFIG)),
+                                               **config_changes))
         return path
 
     def test_width_disagreeing_with_arrays_exits_3(self, tmp_path, synth_csv, capsys):

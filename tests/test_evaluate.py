@@ -16,14 +16,14 @@ from tokencast.errors import ConfigError, ProtocolError, ShapeError
 from tokencast.evaluate import (
     EvalReport,
     EvalRow,
+    EvalSettings,
     evaluate,
-    few_shot_protocol,
     format_table,
     metrics,
     naive_baselines,
     report_from_csv,
     report_to_csv,
-    zero_shot_protocol,
+    run_protocol,
 )
 from tokencast.model import ModelConfig
 from tokencast.train import TrainConfig, finetune_heads, pretrain
@@ -230,14 +230,14 @@ class TestZeroShot:
         series = sine_series("trainsrc", 24, length=300)
         split = chronological_split(series, 0.6, 0.2, 0.2)
         with pytest.raises(ProtocolError, match="trainsrc"):
-            zero_shot_protocol(tiny_ckpt, series, split, [8], lookback_len=12)
+            run_protocol(tiny_ckpt, series, split, EvalSettings("zero-shot", (8,), 12))
 
     def test_unseen_dataset_evaluated_without_mutation(self, tiny_ckpt):
         before = checkpoint_hash(tiny_ckpt)
         series = sine_series("unseen", 48, length=300, seed=5)
         split = chronological_split(series, 0.6, 0.2, 0.2)
-        report = zero_shot_protocol(tiny_ckpt, series, split, [8],
-                                    lookback_len=12, stride=4)
+        report = run_protocol(tiny_ckpt, series, split,
+                              EvalSettings("zero-shot", (8,), 12, stride=4))
         assert report.rows[0].windows > 0
         assert checkpoint_hash(tiny_ckpt) == before
 
@@ -249,11 +249,11 @@ class TestZeroShot:
                            build_mixed_dataset([(src, split)], "validation"))
         target = sine_series("unseen12", 12, length=600, seed=5)
         tsplit = chronological_split(target, 0.6, 0.2, 0.2)
-        zs = zero_shot_protocol(ckpt, target, tsplit, [8], 12, stride=2).rows[0].mse
-        tuned = few_shot_protocol(
-            ckpt, target, tsplit, 1.0,
+        zs = run_protocol(ckpt, target, tsplit,
+                          EvalSettings("zero-shot", (8,), 12, stride=2)).rows[0].mse
+        tuned = run_protocol(
+            ckpt, target, tsplit, EvalSettings("few-shot", (8,), 12, stride=2, fraction=1.0),
             TrainConfig(epochs=6, stride=1, seed=0, scope="head", patience=6),
-            [8], 12, stride=2,
         ).rows[0].mse
         assert zs >= tuned  # ties allowed
 
@@ -262,11 +262,11 @@ class TestFewShot:
     def test_bad_fraction(self, tiny_ckpt):
         series = sine_series("f", 24, length=300)
         split = chronological_split(series, 0.6, 0.2, 0.2)
-        for bad in (0.0, -0.5, 1.5):
+        for bad in (0.0, -0.5, 1.5, float("nan")):
             with pytest.raises(ConfigError):
-                few_shot_protocol(tiny_ckpt, series, split, bad,
-                                  TrainConfig(epochs=0, scope="head"),
-                                  [8], lookback_len=12)
+                run_protocol(tiny_ckpt, series, split,
+                             EvalSettings("few-shot", (8,), 12, fraction=bad),
+                             TrainConfig(epochs=0, scope="head"))
 
     @pytest.mark.parametrize("horizons,stride,lookback,threads", [
         ([0], 1, 12, 1), ([8], 0, 12, 1), ([8], 1, 0, 1), ([8], 1, 12, 0),
@@ -281,9 +281,9 @@ class TestFewShot:
         series = sine_series("f", 24, length=300)
         split = chronological_split(series, 0.6, 0.2, 0.2)
         with pytest.raises(ConfigError, match="horizons|stride|lookback|threads|too short"):
-            few_shot_protocol(tiny_ckpt, series, split, 0.5,
-                              TrainConfig(epochs=1, scope="head"), horizons,
-                              lookback_len=lookback, stride=stride, threads=threads)
+            run_protocol(tiny_ckpt, series, split,
+                         EvalSettings("few-shot", tuple(horizons), lookback, stride, 0.5),
+                         TrainConfig(epochs=1, scope="head"), threads=threads)
         assert calls == []
 
     def test_fraction_keeps_most_recent(self, tiny_ckpt, monkeypatch):
@@ -300,20 +300,45 @@ class TestFewShot:
             return real(ckpt, cfg, train_mixed, val_mixed)
 
         monkeypatch.setattr(ev, "finetune_heads", spy)
-        few_shot_protocol(tiny_ckpt, series, split, 0.1,
-                          TrainConfig(epochs=0, scope="head"),
-                          [8], lookback_len=12, stride=8)
+        run_protocol(tiny_ckpt, series, split,
+                     EvalSettings("few-shot", (8,), 12, stride=8, fraction=0.1),
+                     TrainConfig(epochs=0, scope="head"))
         # train range is (0, 600); 10% keeps the last 60 points
         np.testing.assert_array_equal(captured["segment"], series.values[0, 540:600])
 
     def test_full_fraction_equals_standard_range(self, tiny_ckpt):
         series = sine_series("f", 24, length=400)
         split = chronological_split(series, 0.6, 0.2, 0.2)
-        report = few_shot_protocol(tiny_ckpt, series, split, 1.0,
-                                   TrainConfig(epochs=0, scope="head"),
-                                   [8], lookback_len=12, stride=4)
+        report = run_protocol(tiny_ckpt, series, split,
+                              EvalSettings("few-shot", (8,), 12, stride=4, fraction=1.0),
+                              TrainConfig(epochs=0, scope="head"))
         baseline = evaluate(tiny_ckpt, series, split, [8], lookback_len=12, stride=4)
         assert report.rows == baseline.rows  # zero epochs => same model
+
+    def test_without_train_config_rejected(self, tiny_ckpt):
+        series = sine_series("f", 24, length=300)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        with pytest.raises(ConfigError, match="TrainConfig"):
+            run_protocol(tiny_ckpt, series, split,
+                         EvalSettings("few-shot", (8,), 12, fraction=0.5))
+
+
+class TestEvalSettings:
+    def test_unknown_protocol_rejected(self):
+        with pytest.raises(ConfigError, match="protocol 'bogus' unknown"):
+            EvalSettings(protocol="bogus").validate()
+
+    def test_fraction_read_by_few_shot_only(self):
+        EvalSettings(protocol="zero-shot", fraction=-1.0).validate()
+        with pytest.raises(ConfigError, match="fraction must lie in"):
+            EvalSettings(protocol="few-shot").validate()
+
+    def test_standard_protocol_is_evaluate(self, tiny_ckpt):
+        series = sine_series("s", 24, length=300)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        report = run_protocol(tiny_ckpt, series, split, EvalSettings("standard", (4, 8), 12, 4),
+                              threads=2)
+        assert report == evaluate(tiny_ckpt, series, split, [4, 8], 12, stride=4)
 
 
 class TestReportSerialization:
