@@ -5,6 +5,10 @@ Exit codes: 0 success, 2 config error, 3 data error (including operands
 whose shapes disagree, ShapeError), 4 numeric abort, 5 protocol violation.
 Runs are reproducible: identical config, seed and inputs give identical
 output bytes at any --threads count.
+
+Each command checks its output path before any work (a bad path exits 2) and
+writes every file through ``_write`` once the work has succeeded, so a rejected
+or failed run leaves nothing behind; a failed write exits 3 with no partial file.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from .data import (
     MultivariateSeries,
     build_mixed_dataset,
     load_csv_dataset,
+    series_to_csv,
     synth_generate,
-    write_csv_dataset,
 )
 from .errors import (
     CheckpointFormatError,
@@ -35,7 +39,7 @@ from .errors import (
 from .evaluate import EvalReport, format_table, report_to_csv, run_protocol
 from .infer import ForecastRequest, ar_forecast
 from .model import count_parameters
-from .train import finetune_heads, pretrain, write_loss_curve
+from .train import finetune_heads, loss_curve_to_csv, pretrain
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,12 +48,34 @@ EXIT_NUMERIC = 4
 EXIT_PROTOCOL = 5
 
 
-def _refuse_nonempty(out_dir: Path, force: bool) -> None:
-    """Checked before any work. Each command makes the directory only once its
-    settings, checkpoint and datasets have loaded, so a run rejected on those
-    leaves none behind."""
-    if out_dir.exists() and any(out_dir.iterdir()) and not force:
-        raise ConfigError(f"output directory {out_dir} is not empty (use --force)")
+def _check_output(path: Path, run_dir: bool, force: bool = False) -> None:
+    """Checked before any work. A run directory must be absent, or a directory
+    that is empty unless --force is given; an output file must not be a
+    directory; and the nearest existing ancestor must be a directory."""
+    if path.is_dir():
+        if not run_dir:
+            raise ConfigError(f"output file {path} is a directory")
+        if not force and any(path.iterdir()):
+            raise ConfigError(f"output directory {path} is not empty (use --force)")
+    elif path.exists():
+        if run_dir:
+            raise ConfigError(f"output directory {path} is not a directory")
+    else:
+        ancestor = next(p for p in path.parents if p.exists())
+        if not ancestor.is_dir():
+            raise ConfigError(f"output path {path}: {ancestor} is not a directory")
+
+
+def _write(path: Path, body: str | bytes) -> None:
+    """Write ``body`` through a temporary file in the same directory and
+    rename it into place, so ``path`` never holds part of ``body``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(body.encode("utf-8") if isinstance(body, str) else body)
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _mixed_pair(datasets):
@@ -57,95 +83,79 @@ def _mixed_pair(datasets):
             build_mixed_dataset(datasets, "validation"))
 
 
-def _save_checkpoint_atomic(ckpt, path: Path) -> None:
-    tmp = path.with_suffix(".tmp")
-    ckpt_io.save_checkpoint(ckpt, tmp)
-    tmp.replace(path)
-
-
 def cmd_pretrain(args) -> int:
-    run = parse_run_config(args.config)
     out_dir = Path(args.out_dir)
-    _refuse_nonempty(out_dir, args.force)
+    _check_output(out_dir, run_dir=True, force=args.force)
+    run = parse_run_config(args.config)
     model_cfg = run.model_config(preset=args.preset, seed=args.seed)
     train_cfg = run.train_config("all", seed=args.seed)
-    datasets = run.load_datasets()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_mixed, val_mixed = _mixed_pair(datasets)
+    train_mixed, val_mixed = _mixed_pair(run.load_datasets())
     ckpt, history = pretrain(model_cfg, train_cfg, train_mixed, val_mixed)
-    _save_checkpoint_atomic(ckpt, out_dir / "model.ckpt")
-    write_loss_curve(history, out_dir / "loss.csv")
-    (out_dir / "resolved.cfg").write_text(
-        render_resolved(model=model_cfg, train=train_cfg,
-                        data=run.resolved_data()),
-        encoding="utf-8",
-    )
+    _write(out_dir / "model.ckpt", ckpt_io.serialize(ckpt))
+    _write(out_dir / "loss.csv", loss_curve_to_csv(history))
+    _write(out_dir / "resolved.cfg", render_resolved(
+        model=model_cfg, train=train_cfg, data=run.resolved_data()))
     best = ckpt.metadata.get("best_val_mse", "nan")
     print(f"pretrained {len(history)} epochs, best val mse {best}")
     return EXIT_OK
 
 
 def cmd_finetune(args) -> int:
-    run = parse_run_config(args.config)
     out_dir = Path(args.out_dir)
-    _refuse_nonempty(out_dir, args.force)
+    _check_output(out_dir, run_dir=True, force=args.force)
+    run = parse_run_config(args.config)
     train_cfg = run.train_config("all" if args.full_tune else "head", seed=args.seed)
     source = ckpt_io.load_checkpoint(args.checkpoint)
-    datasets = run.load_datasets()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_mixed, val_mixed = _mixed_pair(datasets)
+    train_mixed, val_mixed = _mixed_pair(run.load_datasets())
     tuned, history = finetune_heads(source, train_cfg, train_mixed, val_mixed)
-    _save_checkpoint_atomic(tuned, out_dir / "model.ckpt")
-    write_loss_curve(history, out_dir / "loss.csv")
-    (out_dir / "resolved.cfg").write_text(
-        render_resolved(model=tuned.config, train=train_cfg,
-                        data=run.resolved_data()),
-        encoding="utf-8",
-    )
+    _write(out_dir / "model.ckpt", ckpt_io.serialize(tuned))
+    _write(out_dir / "loss.csv", loss_curve_to_csv(history))
+    _write(out_dir / "resolved.cfg", render_resolved(
+        model=tuned.config, train=train_cfg, data=run.resolved_data()))
     print(f"finetuned ({train_cfg.scope} scope), {len(history)} epochs")
     return EXIT_OK
 
 
 def cmd_forecast(args) -> int:
+    out_csv = Path(args.out_csv)
+    _check_output(out_csv, run_dir=False)
     if args.horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {args.horizon}")
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     series = load_csv_dataset(args.input_csv, Path(args.input_csv).stem)
     params = ckpt_io.to_params(ckpt)
     result = ar_forecast(params, ForecastRequest(series.values, args.horizon))
-    write_csv_dataset(MultivariateSeries(series.name, result.predictions), args.out_csv)
+    _write(out_csv, series_to_csv(MultivariateSeries(series.name, result.predictions)))
     print(f"decode_steps={result.decode_steps}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    run = parse_run_config(args.config)
     out_dir = Path(args.out_dir)
-    _refuse_nonempty(out_dir, args.force)
+    _check_output(out_dir, run_dir=True, force=args.force)
+    run = parse_run_config(args.config)
     settings = run.eval_settings()
     train_cfg = (run.train_config("head", seed=args.seed)
                  if settings.protocol == "few-shot" else None)
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
-    datasets = run.load_datasets()
-    out_dir.mkdir(parents=True, exist_ok=True)
     reports = [run_protocol(ckpt, series, split, settings, train_cfg, args.threads)
-               for series, split in datasets]
+               for series, split in run.load_datasets()]
     combined = EvalReport(rows=[row for report in reports for row in report.rows],
                           fingerprint=reports[-1].fingerprint)
-    (out_dir / "report.csv").write_text(report_to_csv(combined), encoding="utf-8")
-    (out_dir / "resolved.cfg").write_text(
-        render_resolved(train=train_cfg, data=run.resolved_data(), evaluation=settings),
-        encoding="utf-8",
-    )
+    _write(out_dir / "report.csv", report_to_csv(combined))
+    _write(out_dir / "resolved.cfg", render_resolved(
+        train=train_cfg, data=run.resolved_data(), evaluation=settings))
     print(format_table(combined))
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
+    out_csv = Path(args.out_csv)
+    _check_output(out_csv, run_dir=False)
     run = parse_run_config(args.config)
     spec, seed = run.synth_spec(seed=args.seed)
     series = synth_generate(spec, seed=seed)
-    write_csv_dataset(series, args.out_csv)
+    _write(out_csv, series_to_csv(series))
     print(f"wrote {series.num_channels}x{series.length} series to {args.out_csv}")
     return EXIT_OK
 
@@ -230,7 +240,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataError, InputTooShortError, CheckpointFormatError, ShapeError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericAbort as exc:

@@ -9,6 +9,7 @@ sampling is reproducible from an explicit seed.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -56,7 +57,6 @@ class Segment:
 class MixedDataset:
     segments: list[Segment]
     role: str
-    skipped: int = 0
 
 
 def load_csv_dataset(path, name: str) -> MultivariateSeries:
@@ -108,13 +108,14 @@ def load_csv_dataset(path, name: str) -> MultivariateSeries:
     return MultivariateSeries(name=name, values=np.asarray(rows, dtype=np.float64).T)
 
 
-def write_csv_dataset(series: MultivariateSeries, path) -> None:
-    """Write one column per channel with a ch<i> header (load_csv inverse)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"ch{i}" for i in range(series.num_channels)])
-        for t in range(series.length):
-            writer.writerow([repr(float(v)) for v in series.values[:, t]])
+def series_to_csv(series: MultivariateSeries) -> str:
+    """One column per channel under a ch<i> header (load_csv_dataset inverse)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow([f"ch{i}" for i in range(series.num_channels)])
+    for t in range(series.length):
+        writer.writerow([repr(float(v)) for v in series.values[:, t]])
+    return buf.getvalue()
 
 
 def chronological_split(
@@ -143,22 +144,20 @@ def build_mixed_dataset(
     """Turn every channel of every dataset's role range into one segment.
 
     Segment order is (dataset order, channel order). Empty role ranges are
-    skipped and counted.
+    skipped.
     """
     if role not in ("train", "validation", "test"):
         raise ConfigError(f"unknown role {role!r}")
     if not datasets:
         raise ConfigError("build_mixed_dataset needs at least one dataset")
     segments: list[Segment] = []
-    skipped = 0
     for series, split in datasets:
         lo, hi = getattr(split, role)
         if hi <= lo:
-            skipped += series.num_channels
             continue
         for c in range(series.num_channels):
             segments.append(Segment(series.name, c, series.values[c, lo:hi]))
-    return MixedDataset(segments=segments, role=role, skipped=skipped)
+    return MixedDataset(segments=segments, role=role)
 
 
 def sample_windows(

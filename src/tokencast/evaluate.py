@@ -272,26 +272,6 @@ def report_to_csv(report: EvalReport) -> str:
     return buf.getvalue()
 
 
-def report_from_csv(text: str) -> EvalReport:
-    fingerprint = ""
-    lines = []
-    for line in text.splitlines():
-        if line.startswith("# fingerprint="):
-            fingerprint = line.split("=", 1)[1]
-        elif line.strip():
-            lines.append(line)
-    reader = csv.reader(lines)
-    header = next(reader)
-    if header != ["dataset", "horizon", "mse", "mae", "windows"]:
-        raise ConfigError(f"unexpected report header: {header}")
-    rows = [
-        EvalRow(dataset=r[0], horizon=int(r[1]), mse=float(r[2]),
-                mae=float(r[3]), windows=int(r[4]))
-        for r in reader
-    ]
-    return EvalReport(rows=rows, fingerprint=fingerprint)
-
-
 def format_table(report: EvalReport) -> str:
     header = f"{'dataset':<16} {'horizon':>7} {'mse':>12} {'mae':>12} {'windows':>8}"
     lines = [header, "-" * len(header)]

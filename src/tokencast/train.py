@@ -12,6 +12,7 @@ de-normalize-then-score ordering the pipeline defines.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -248,9 +249,10 @@ def finetune_heads(
     return from_params(params, metadata), history
 
 
-def write_loss_curve(history: list[EpochStats], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_mse", "val_mse"])
-        for row in history:
-            writer.writerow([row.epoch, repr(row.train_mse), repr(row.val_mse)])
+def loss_curve_to_csv(history: list[EpochStats]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["epoch", "train_mse", "val_mse"])
+    for row in history:
+        writer.writerow([row.epoch, repr(row.train_mse), repr(row.val_mse)])
+    return buf.getvalue()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tokencast import cli
 from tokencast.cli import main
 from tokencast.checkpoint import from_params, load_checkpoint
 from tokencast.config import _ini_fields, parse_components, parse_run_config
@@ -286,12 +287,16 @@ class TestTrainedScope:
 
 
 class TestRejectedRun:
-    # a run that exits 2 on its settings leaves no output directory behind
+    # a run that exits 2 on its settings, or in its work, leaves no output
+    # directory behind
     @pytest.mark.parametrize("command,old,new", [
         ("pretrain", "[train]\n", "[train]\nscope = head\n"),
         ("finetune", "[train]\n", "[train]\nscope = all\n"),
         ("few-shot", "horizons = 4,8", "horizons = 0"),
-    ], ids=["pretrain", "finetune", "evaluate"])
+        ("few-shot", "lookback = 12", "lookback = 200"),
+        ("pretrain", "split = 0.7,0.1,0.2", "split = 0.02,0.49,0.49"),
+    ], ids=["pretrain", "finetune", "evaluate", "evaluate-short-test-range",
+            "pretrain-no-windows"])
     def test_config_error_leaves_no_out_dir(self, tmp_path, synth_csv, pretrained,
                                             command, old, new):
         head, cfg = command_run(command, tmp_path, synth_csv, pretrained)
@@ -299,6 +304,58 @@ class TestRejectedRun:
         out = tmp_path / "out"
         assert main(head + [str(cfg), str(out)]) == 2
         assert not out.exists()
+
+    # a run directory must be absent or a directory, an output CSV must not be
+    # a directory, and the nearest existing ancestor must be a directory
+    @pytest.mark.parametrize("command,out_path", [
+        ("pretrain", "afile"), ("finetune", "afile"), ("few-shot", "afile"),
+        ("pretrain", "afile/sub"), ("finetune", "afile/sub"), ("few-shot", "afile/sub"),
+        ("forecast", "afile/sub"), ("synth", "afile/sub"),
+        ("forecast", "adir"), ("synth", "adir"),
+    ])
+    def test_bad_output_path_exits_2(self, tmp_path, synth_csv, pretrained, capsys,
+                                     command, out_path):
+        (tmp_path / "afile").touch()
+        (tmp_path / "adir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(output_head(command, tmp_path, synth_csv, pretrained)
+                    + [str(tmp_path / out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output ") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+    # the output path is checked before the work, and may change during it
+    @pytest.mark.parametrize("command,work,obstacle", [
+        ("pretrain", "pretrain", "touch"), ("forecast", "ar_forecast", "mkdir"),
+    ])
+    def test_failed_write_exits_3(self, tmp_path, synth_csv, pretrained, capsys,
+                                  monkeypatch, command, work, obstacle):
+        out = tmp_path / "out"
+        real = getattr(cli, work)
+
+        def work_then_block(*args):
+            result = real(*args)
+            getattr(out, obstacle)()
+            return result
+
+        monkeypatch.setattr(cli, work, work_then_block)
+        capsys.readouterr()
+        assert main(output_head(command, tmp_path, synth_csv, pretrained)
+                    + [str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
+def output_head(command, tmp_path, synth_csv, pretrained):
+    """The arguments of ``command`` that come before its output path."""
+    if command == "forecast":
+        return ["forecast", str(pretrained), str(synth_csv), "4"]
+    if command == "synth":
+        return ["synth", str(tmp_path / "synth.cfg")]
+    head, cfg = command_run(command, tmp_path, synth_csv, pretrained)
+    return head + [str(cfg)]
 
 
 def non_head_names(config):
@@ -464,6 +521,7 @@ class TestEvaluateCommand:
         cfg = self.eval_cfg(tmp_path, synth_csv)
         assert main(["evaluate", str(pretrained), str(cfg), str(tmp_path / "s")]) == 3
         assert "data error: metrics shapes disagree" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 class TestInspectCommand:

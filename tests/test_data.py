@@ -12,8 +12,8 @@ from tokencast.data import (
     chronological_split,
     load_csv_dataset,
     sample_windows,
+    series_to_csv,
     synth_generate,
-    write_csv_dataset,
 )
 from tokencast.errors import ConfigError, DataError
 
@@ -63,7 +63,7 @@ class TestLoadCsv:
 
     def test_write_read_roundtrip(self, tmp_path, rng):
         s = MultivariateSeries("r", rng.normal(size=(3, 17)))
-        write_csv_dataset(s, tmp_path / "r.csv")
+        (tmp_path / "r.csv").write_bytes(series_to_csv(s).encode("utf-8"))
         back = load_csv_dataset(tmp_path / "r.csv", "r")
         np.testing.assert_array_equal(back.values, s.values)
 
@@ -128,7 +128,7 @@ class TestMixedDataset:
         a = make_series("a", 3, 50)
         split = DatasetSplit(train=(0, 50), validation=(50, 50), test=(50, 50))
         mixed = build_mixed_dataset([(a, split)], "validation")
-        assert mixed.segments == [] and mixed.skipped == 3
+        assert mixed.segments == []
 
     def test_bad_role(self):
         with pytest.raises(ConfigError):

@@ -21,8 +21,8 @@ from tokencast.train import (
     _batch_loss,
     ar_loss,
     finetune_heads,
+    loss_curve_to_csv,
     pretrain,
-    write_loss_curve,
 )
 
 TINY_MODEL = ModelConfig(num_stages=2, pool_kernels=(2, 1), token_len=4, max_tokens=3,
@@ -264,10 +264,10 @@ class TestFinetune:
 
 
 class TestLossCurve:
-    def test_csv_format(self, tmp_path):
+    def test_csv_format(self):
         history = [EpochStats(1, 0.5, 0.6), EpochStats(2, 0.25, 0.3)]
-        path = tmp_path / "loss.csv"
-        write_loss_curve(history, path)
-        lines = path.read_text().strip().splitlines()
+        text = loss_curve_to_csv(history)
+        assert text.startswith("epoch,train_mse,val_mse\r\n")
+        lines = text.strip().splitlines()
         assert lines[0] == "epoch,train_mse,val_mse"
         assert lines[1].startswith("1,0.5,0.6")
