@@ -153,8 +153,7 @@ def cmd_synth(args) -> int:
     out_csv = Path(args.out_csv)
     _check_output(out_csv, run_dir=False)
     run = parse_run_config(args.config)
-    spec, seed = run.synth_spec(seed=args.seed)
-    series = synth_generate(spec, seed=seed)
+    series = synth_generate(run.synth_spec(seed=args.seed))
     _write(out_csv, series_to_csv(series))
     print(f"wrote {series.num_channels}x{series.length} series to {args.out_csv}")
     return EXIT_OK

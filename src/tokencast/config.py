@@ -1,14 +1,14 @@
 """Flat INI-style run configuration: typed key=value pairs under [model],
 [train], [data], [synth] and [eval] sections.
 
-The [model], [train] and [eval] keys are the fields of ``ModelConfig``,
-``TrainConfig`` and ``EvalSettings``, in field order, each parsed and
-formatted by the type of its default (``model.parse_field`` and
-``format_value``). The one table here, ``_MODEL_INI_KEYS``, names the four
+Each section's keys are the fields of one frozen dataclass (``_SECTIONS``),
+in field order, each parsed by ``model.parse_field`` (by the parser its
+metadata names, else by the type of its default) and formatted back by
+``format_value``. The one table here, ``_MODEL_INI_KEYS``, names the four
 [model] keys that differ from their field (``stages``, ``width``, ``heads``,
 ``dropout``); every other key is its field name, so a field added to any of
-the three dataclasses is read, validated and written back without another
-edit.
+the dataclasses is read, validated and written back without another edit.
+The only other key is [data]'s ``split.<name>``, one dataset's ratios.
 
 Unknown sections or keys are rejected. Every command echoes the fully
 resolved configuration (defaults included, dataset paths absolute) into its
@@ -18,23 +18,20 @@ output directory so a run can be reproduced from that file alone.
 from __future__ import annotations
 
 import configparser
-import re
 from dataclasses import Field, fields, replace
-from functools import partial
 from pathlib import Path
 
 from .data import (
+    DataSettings,
     MultivariateSeries,
-    NoiseComponent,
-    SineComponent,
     SynthSpec,
-    TrendComponent,
+    check_ratios,
     chronological_split,
     load_csv_dataset,
 )
 from .errors import ConfigError
 from .evaluate import EvalSettings
-from .model import ModelConfig, format_value, paper_preset, parse_field
+from .model import PAPER_PRESET, ModelConfig, format_value, paper_preset, parse_field
 from .train import TrainConfig
 
 # config field -> INI key, for the fields whose key is not the field name
@@ -44,8 +41,6 @@ _MODEL_INI_KEYS = {
     "attention_heads": "heads",
     "dropout_rate": "dropout",
 }
-_PRESET_STRUCTURAL_KEYS = {"stages", "pool_kernels", "token_len", "max_tokens",
-                           "layers_per_stage"}
 
 
 def _ini_fields(cls) -> dict[str, Field]:
@@ -53,13 +48,8 @@ def _ini_fields(cls) -> dict[str, Field]:
     return {_MODEL_INI_KEYS.get(f.name, f.name): f for f in fields(cls)}
 
 
-_SECTIONS = {
-    "model": _ini_fields(ModelConfig).keys(),
-    "train": _ini_fields(TrainConfig).keys(),
-    "data": {"datasets", "split"},
-    "synth": {"name", "length", "channels", "components", "seed"},
-    "eval": _ini_fields(EvalSettings).keys(),
-}
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "data": DataSettings,
+             "synth": SynthSpec, "eval": EvalSettings}
 
 
 class RunConfig:
@@ -74,7 +64,8 @@ class RunConfig:
 
     def model_config(self, preset: str | None = None, seed: int | None = None) -> ModelConfig:
         if preset == "paper":
-            clash = _PRESET_STRUCTURAL_KEYS & set(self.sections.get("model", {}))
+            fixed = {_MODEL_INI_KEYS.get(name, name) for name in PAPER_PRESET}
+            clash = fixed & set(self.sections.get("model", {}))
             if clash:
                 raise ConfigError(
                     f"--preset paper fixes {sorted(clash)}; remove them from [model]"
@@ -100,41 +91,38 @@ class RunConfig:
         """``base`` with the section's keys, then the non-None overrides,
         applied; validated."""
         raw = self.sections.get(section, {})
-        values = {f.name: _cast(partial(parse_field, f), raw[key], section, key)
+        values = {f.name: _parse(f, raw[key], section, key)
                   for key, f in _ini_fields(type(base)).items() if key in raw}
         values.update((k, v) for k, v in overrides.items() if v is not None)
         cfg = replace(base, **values)
         cfg.validate()
         return cfg
 
-    def _dataset_paths(self) -> list[tuple[str, Path]]:
-        """(name, path) for every entry of [data] datasets, in listed order.
+    def _dataset_paths(self) -> dict[str, Path]:
+        """name -> path for every entry of [data] datasets, in listed order.
 
-        Entries are ``name=path`` separated by ``;``; relative paths resolve
-        against the config file's directory.
+        Entries are ``name=path`` separated by ``;``, each name once; relative
+        paths resolve against the config file's directory.
         """
-        spec = self.get("data", "datasets")
-        if not spec:
-            raise ConfigError("[data] datasets is required (name=path;name=path)")
-        out = []
-        for entry in spec.split(";"):
-            entry = entry.strip()
-            if not entry:
+        out: dict[str, Path] = {}
+        for entry in self._build("data", DataSettings()).datasets.split(";"):
+            name, sep, path = (part.strip() for part in entry.partition("="))
+            if not (name or sep or path):
                 continue
-            name, sep, path = entry.partition("=")
-            if not sep or not name.strip() or not path.strip():
-                raise ConfigError(f"[data] datasets entry {entry!r} is not name=path")
-            resolved = Path(path.strip())
-            out.append((name.strip(), resolved if resolved.is_absolute()
-                        else self.base_dir / resolved))
+            if not sep or not name or not path:
+                raise ConfigError(f"[data] datasets entry {entry.strip()!r} is not name=path")
+            if name in out:
+                raise ConfigError(f"[data] datasets lists {name!r} twice")
+            out[name] = self.base_dir / path
         if not out:
-            raise ConfigError("[data] datasets lists no entries")
+            raise ConfigError("[data] datasets is required (name=path;name=path)")
         return out
 
     def resolved_data(self) -> dict[str, str]:
         """The [data] section with every dataset path as load_datasets opens it."""
         body = dict(self.sections.get("data", {}))
-        body["datasets"] = ";".join(f"{name}={path}" for name, path in self._dataset_paths())
+        body["datasets"] = ";".join(f"{name}={path}"
+                                    for name, path in self._dataset_paths().items())
         return body
 
     def load_datasets(self) -> list[tuple[MultivariateSeries, object]]:
@@ -143,107 +131,34 @@ class RunConfig:
         ``split`` gives the default ratios; ``split.<name>`` overrides one
         dataset, and must name a listed one.
         """
-        raw = self.sections.get("data", {})
-        entries = self._dataset_paths()
-        names = {name for name, _ in entries}
-        for key in raw:
-            if key.startswith("split.") and key[len("split."):] not in names:
-                raise ConfigError(f"[data] {key} names no dataset in [data] datasets")
-        default_ratios = _ratio_triple(raw.get("split", "0.7,0.1,0.2"), "split")
+        settings = self._build("data", DataSettings())
+        paths = self._dataset_paths()
+        ratios = dict.fromkeys(paths, settings.split)
+        for key, text in self.sections.get("data", {}).items():
+            if key.startswith("split."):
+                name = key[len("split."):]
+                if name not in paths:
+                    raise ConfigError(f"[data] {key} names no dataset in [data] datasets")
+                ratios[name] = _parse(_ini_fields(DataSettings)["split"], text, "data", key)
+                check_ratios(ratios[name], key)
         out = []
-        for name, path in entries:
+        for name, path in paths.items():
             series = load_csv_dataset(path, name)
-            ratios = default_ratios
-            override = raw.get(f"split.{name}")
-            if override is not None:
-                ratios = _ratio_triple(override, f"split.{name}")
-            out.append((series, chronological_split(series, *ratios)))
+            out.append((series, chronological_split(series, *ratios[name])))
         return out
 
-    def synth_spec(self, seed: int | None = None) -> tuple[SynthSpec, int]:
-        raw = self.sections.get("synth", {})
-        if "length" not in raw:
-            raise ConfigError("[synth] length is required")
-        if "components" not in raw:
-            raise ConfigError("[synth] components is required")
-        spec = SynthSpec(
-            name=raw.get("name", "synth"),
-            length=_cast(int, raw["length"], "synth", "length"),
-            channels=_cast(int, raw.get("channels", "1"), "synth", "channels"),
-            components=parse_components(raw["components"]),
-        )
-        gen_seed = _cast(int, raw.get("seed", "0"), "synth", "seed")
-        if seed is not None:
-            gen_seed = seed
-        return spec, gen_seed
+    def synth_spec(self, seed: int | None = None) -> SynthSpec:
+        return self._build("synth", SynthSpec(), seed=seed)
 
     def eval_settings(self) -> EvalSettings:
         return self._build("eval", EvalSettings())
 
 
-def _cast(cast, value: str, section: str, key: str):
+def _parse(f: Field, text: str, section: str, key: str):
     try:
-        return cast(value)
+        return parse_field(f, text)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{section}] {key}={value!r}: {exc}") from exc
-
-
-def _ratio_triple(text: str, key: str) -> tuple[float, float, float]:
-    parts = [_cast(float, v, "data", key) for v in text.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"split needs three ratios, got {text!r}")
-    return parts[0], parts[1], parts[2]
-
-
-_COMPONENT_RE = re.compile(r"\s*(\w+)\s*\(([^)]*)\)\s*$")
-
-_COMPONENT_FORMS = {
-    "sine": (SineComponent, ("period", "amplitude", "phase")),
-    "trend": (TrendComponent, ("slope",)),
-    "noise": (NoiseComponent, ("sigma",)),
-}
-
-
-def parse_components(text: str) -> list:
-    """Parse 'sine(period=24,amplitude=1) + noise(sigma=0.1)' expressions."""
-    components = []
-    for term in text.split("+"):
-        term = term.strip()
-        if not term:
-            continue
-        m = _COMPONENT_RE.match(term)
-        if not m:
-            raise ConfigError(f"cannot parse synth component {term!r}")
-        kind, argtext = m.group(1).lower(), m.group(2)
-        if kind not in _COMPONENT_FORMS:
-            raise ConfigError(f"unknown synth component {kind!r} in {term!r}")
-        cls, names = _COMPONENT_FORMS[kind]
-        args: dict[str, float] = {}
-        positional = 0
-        for piece in argtext.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            if "=" in piece:
-                k, v = piece.split("=", 1)
-                k = k.strip()
-                if k == "amp":
-                    k = "amplitude"
-                if k not in names:
-                    raise ConfigError(f"{kind} has no parameter {k!r}")
-                args[k] = _cast(float, v.strip(), "synth", k)
-            else:
-                if positional >= len(names):
-                    raise ConfigError(f"too many arguments in {term!r}")
-                args[names[positional]] = _cast(float, piece, "synth", "components")
-                positional += 1
-        try:
-            components.append(cls(**args))
-        except TypeError as exc:
-            raise ConfigError(f"bad arguments in {term!r}: {exc}") from exc
-    if not components:
-        raise ConfigError("synth components expression is empty")
-    return components
+        raise ConfigError(f"[{section}] {key}={text!r}: {exc}") from exc
 
 
 def parse_run_config(path) -> RunConfig:
@@ -261,11 +176,10 @@ def parse_run_config(path) -> RunConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-        allowed = _SECTIONS[section]
+        allowed = _ini_fields(_SECTIONS[section])
         body = {}
         for key, value in parser.items(section):
-            base = key.split(".", 1)[0]
-            if key not in allowed and not (section == "data" and base == "split"):
+            if key not in allowed and not (section == "data" and key.startswith("split.")):
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             body[key] = value
         sections[section] = body

@@ -118,6 +118,28 @@ def series_to_csv(series: MultivariateSeries) -> str:
     return buf.getvalue()
 
 
+@dataclass(frozen=True)
+class DataSettings:
+    """[data]: the ordered ``name=path;name=path`` dataset list and the
+    default train/validation/test ratios (``split.<name>`` keys override one
+    dataset's)."""
+
+    datasets: str = ""
+    split: tuple[float, ...] = (0.7, 0.1, 0.2)
+
+    def validate(self) -> None:
+        check_ratios(self.split)
+
+
+def check_ratios(ratios: tuple[float, ...], key: str = "split") -> None:
+    if len(ratios) != 3:
+        raise ConfigError(f"{key} needs three ratios, got {ratios}")
+    if not all(math.isfinite(r) and r > 0 for r in ratios):
+        raise ConfigError(f"{key} ratios must be positive and finite, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"{key} ratios must sum to 1, got {ratios} (sum {sum(ratios)})")
+
+
 def chronological_split(
     series: MultivariateSeries,
     ratio_train: float,
@@ -125,11 +147,7 @@ def chronological_split(
     ratio_test: float,
 ) -> DatasetSplit:
     """Prefix-partition the time axis at floor(ratio * length) boundaries."""
-    ratios = (ratio_train, ratio_val, ratio_test)
-    if not all(math.isfinite(r) and r > 0 for r in ratios):
-        raise ConfigError(f"split ratios must be positive and finite, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {ratios} (sum {sum(ratios)})")
+    check_ratios((ratio_train, ratio_val, ratio_test))
     n = series.length
     # the +1e-9 guard keeps float dust (0.7+0.1 != 0.8 exactly) from moving a boundary
     a = int(math.floor(ratio_train * n + 1e-9))
@@ -206,30 +224,65 @@ class NoiseComponent:
     sigma: float
 
 
-Component = SineComponent | TrendComponent | NoiseComponent
+_COMPONENTS = {"sine": SineComponent, "trend": TrendComponent, "noise": NoiseComponent}
 
 
-@dataclass
+def parse_components(text: str) -> tuple:
+    """Parse 'sine(period=24, amplitude=1) + noise(sigma=0.1)': terms joined
+    by '+', each ``kind(key=value, ...)`` with float values."""
+    components = []
+    for term in filter(None, (t.strip() for t in text.split("+"))):
+        kind, _, args = term.partition("(")
+        cls = _COMPONENTS.get(kind.strip())
+        if cls is None or not args.endswith(")"):
+            raise ConfigError(f"{term!r} is not kind(key=value, ...) with kind one of "
+                              f"{', '.join(_COMPONENTS)}")
+        values = {}
+        for arg in filter(None, (a.strip() for a in args[:-1].split(","))):
+            key, eq, value = (part.strip() for part in arg.partition("="))
+            if not eq or key in values:
+                raise ConfigError(f"{term!r}: argument {arg!r} is not a new key=value")
+            values[key] = float(value)
+        try:
+            components.append(cls(**values))
+        except TypeError as exc:
+            raise ConfigError(f"{term!r}: {exc}") from exc
+    return tuple(components)
+
+
+@dataclass(frozen=True)
 class SynthSpec:
-    name: str
-    length: int
+    """[synth]: ``channels`` copies of the sum of ``components``, each copy
+    with its own noise draws from ``seed``."""
+
+    name: str = "synth"
+    length: int = 0
     channels: int = 1
-    components: list = field(default_factory=list)
+    components: tuple = field(default=(), metadata={"parse": parse_components})
+    seed: int = 0
+
+    def validate(self) -> None:
+        for name in ("length", "channels"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not self.components:
+            raise ConfigError("components must name at least one component")
+        for comp in self.components:
+            for key, value in vars(comp).items():
+                if not math.isfinite(value):
+                    raise ConfigError(f"components: {key} must be finite in {comp}")
+            if isinstance(comp, SineComponent) and comp.period <= 0:
+                raise ConfigError(f"components: sine period must be positive, got {comp.period}")
+            if isinstance(comp, NoiseComponent) and comp.sigma < 0:
+                raise ConfigError(f"components: noise sigma must be >= 0, got {comp.sigma}")
 
 
-def synth_generate(spec: SynthSpec, seed: int = 0) -> MultivariateSeries:
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
+def synth_generate(spec: SynthSpec) -> MultivariateSeries:
     """Sum the spec's components per channel; only noise varies by channel."""
-    if spec.length <= 0:
-        raise ConfigError(f"synthetic length must be positive, got {spec.length}")
-    if spec.channels <= 0:
-        raise ConfigError(f"channel count must be positive, got {spec.channels}")
-    if seed < 0:
-        raise ConfigError(f"synthetic seed must be >= 0, got {seed}")
-    for comp in spec.components:
-        if isinstance(comp, SineComponent) and comp.period <= 0:
-            raise ConfigError(f"sine period must be positive, got {comp.period}")
-        if isinstance(comp, NoiseComponent) and comp.sigma < 0:
-            raise ConfigError(f"noise sigma must be nonnegative, got {comp.sigma}")
+    spec.validate()
     t = np.arange(spec.length, dtype=np.float64)
     deterministic = np.zeros(spec.length)
     for comp in spec.components:
@@ -237,9 +290,11 @@ def synth_generate(spec: SynthSpec, seed: int = 0) -> MultivariateSeries:
             deterministic += comp.amplitude * np.sin(2.0 * np.pi * t / comp.period + comp.phase)
         elif isinstance(comp, TrendComponent):
             deterministic += comp.slope * t
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(spec.seed)
     values = np.tile(deterministic, (spec.channels, 1))
     for comp in spec.components:
         if isinstance(comp, NoiseComponent) and comp.sigma > 0:
             values = values + rng.normal(0.0, comp.sigma, size=values.shape)
+    if not np.isfinite(values).all():
+        raise ConfigError("components: the series overflows; use smaller parameters")
     return MultivariateSeries(name=spec.name, values=values)

@@ -80,10 +80,13 @@ class ModelConfig:
 
 
 def parse_field(f: Field, text: str):
-    """A config field's value from its text, by the type of its default;
-    a tuple default means comma-separated ints."""
+    """A config field's value from its text: by the parser its metadata names
+    under "parse", else by the type of its default, where a tuple default
+    means comma-separated items of its items' type."""
+    if "parse" in f.metadata:
+        return f.metadata["parse"](text)
     if isinstance(f.default, tuple):
-        return tuple(int(v) for v in text.split(","))
+        return tuple(type(f.default[0])(v) for v in text.split(","))
     return type(f.default)(text)
 
 
@@ -94,18 +97,15 @@ def format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+# the fields the paper preset fixes, which --preset paper forbids in [model]
+PAPER_PRESET = {"num_stages": 4, "pool_kernels": (8, 4, 2, 1), "token_len": 48,
+                "max_tokens": 7, "layers_per_stage": 3}
+
+
 def paper_preset(**overrides) -> ModelConfig:
-    """Reference 4-stage configuration: T=48, 7-token context, kernels 8/4/2/1,
-    three layers per stage. Width and head count stay whatever the caller sets.
-    """
-    base = ModelConfig(
-        num_stages=4,
-        pool_kernels=(8, 4, 2, 1),
-        token_len=48,
-        max_tokens=7,
-        layers_per_stage=3,
-    )
-    return replace(base, **overrides)
+    """The reference configuration, ``PAPER_PRESET``. Width and head count
+    stay whatever the caller sets."""
+    return replace(ModelConfig(**PAPER_PRESET), **overrides)
 
 
 @dataclass

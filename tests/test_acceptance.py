@@ -47,10 +47,8 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 def make_source(name, components, length=4000, channels=4, seed=0,
                 ratios=(0.7, 0.1, 0.2)):
-    series = synth_generate(
-        SynthSpec(name, length=length, channels=channels, components=components),
-        seed=seed,
-    )
+    series = synth_generate(SynthSpec(name, length=length, channels=channels,
+                                      components=components, seed=seed))
     return series, chronological_split(series, *ratios)
 
 

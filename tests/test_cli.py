@@ -1,11 +1,20 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tokencast import cli
 from tokencast.cli import main
 from tokencast.checkpoint import from_params, load_checkpoint
-from tokencast.config import _ini_fields, parse_components, parse_run_config
-from tokencast.data import NoiseComponent, SineComponent, TrendComponent
+from tokencast.config import _ini_fields, parse_run_config
+from tokencast.data import (
+    DataSettings,
+    NoiseComponent,
+    SineComponent,
+    SynthSpec,
+    TrendComponent,
+    parse_components,
+)
 from tokencast.errors import ConfigError, ShapeError
 from tokencast.evaluate import EvalSettings
 from tokencast.model import ModelConfig, init_model, parameter_layout
@@ -96,11 +105,46 @@ class TestSynth:
         assert main(["--seed", "-1", "synth", str(cfg), str(tmp_path / "b.csv")]) == 2
         assert capsys.readouterr().err.count("seed must be >= 0") == 2
 
+    @pytest.mark.parametrize("body,key", [
+        ("length = 50\ncomponents = sine(period=nan) + trend(slope=inf)", "components"),
+        ("length = 50\ncomponents = sine(period=inf)", "components"),
+        ("length = 50\ncomponents = sine(period=10, phase=-inf)", "components"),
+        ("length = 50\ncomponents = noise(sigma=nan)", "components"),
+        ("length = 50\ncomponents = trend(slope=-inf)", "components"),
+        ("length = 50\ncomponents = sine(period=0)", "components"),
+        ("length = 50\ncomponents = noise(sigma=-1)", "components"),
+        ("length = 50\ncomponents = trend(slope=1e308)", "components"),
+        ("length = 50\ncomponents = sine(period=1e-320)", "components"),
+        ("length = 50\ncomponents = sine(period=1, period=2)", "components"),
+        ("length = 50\ncomponents = ", "components"),
+        ("length = 50", "components"),
+        ("components = noise(sigma=1.0)", "length"),
+    ])
+    def test_bad_or_missing_synth_setting_exits_2(self, tmp_path, capsys, body, key):
+        # a non-finite parameter or series is rejected, not written out
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"[synth]\n{body}\n")
+        out = tmp_path / "a.csv"
+        assert main(["synth", str(cfg), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert key in err
+        assert not out.exists()
+
 
 class TestComponentParsing:
-    def test_named_and_positional(self):
-        comps = parse_components("sine(period=24, amp=2) + trend(0.5) + noise(sigma=0.1)")
-        assert comps == [SineComponent(24.0, 2.0), TrendComponent(0.5), NoiseComponent(0.1)]
+    def test_keyword_form(self):
+        comps = parse_components("sine(period=24, amplitude=2) + trend(slope=0.5)"
+                                 " + noise(sigma=0.1)")
+        assert comps == (SineComponent(24.0, 2.0), TrendComponent(0.5), NoiseComponent(0.1))
+
+    @pytest.mark.parametrize("components", ["trend(0.5)", "sine(period=24, amp=2)"])
+    def test_positional_form_and_alias_exit_2(self, tmp_path, capsys, components):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"[synth]\nlength = 50\ncomponents = {components}\n")
+        assert main(["synth", str(cfg), str(tmp_path / "a.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: [synth] components={components!r}: ")
 
     def test_unknown_component(self):
         with pytest.raises(ConfigError, match="sawtooth"):
@@ -130,6 +174,22 @@ class TestConfigValidation:
         run = parse_run_config(cfg)
         with pytest.raises(ConfigError, match="preset"):
             run.model_config(preset="paper")
+
+    def test_readme_example_builds_every_section(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(example)
+        run = parse_run_config(cfg)
+        assert run.model_config().pool_kernels == (4, 1)
+        assert run.train_config("all").patience == 3
+        assert run.eval_settings().horizons == (96, 192, 336, 720)
+        assert run.synth_spec().components == (
+            SineComponent(24.0), TrendComponent(0.001), NoiseComponent(0.1))
+        base = tmp_path.resolve()
+        assert run.resolved_data() == {"datasets": f"ett={base / 'ett.csv'};"
+                                                   f"weather={base / 'weather.csv'}",
+                                       "split": "0.7,0.1,0.2", "split.ett": "0.6,0.2,0.2"}
 
     def test_paper_preset_resolves(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -163,7 +223,14 @@ class TestPretrainCommand:
         cfg = write_train_cfg(tmp_path, synth_csv)
         cfg.write_text(cfg.read_text().replace("split = 0.7,0.1,0.2", f"{key} = 0.7,abc,0.2"))
         assert main(["pretrain", str(cfg), str(tmp_path / "out")]) == 2
-        assert f"[data] {key}='abc'" in capsys.readouterr().err
+        assert f"[data] {key}='0.7,abc,0.2'" in capsys.readouterr().err
+
+    def test_repeated_dataset_name_exits_2(self, tmp_path, synth_csv, capsys):
+        cfg = write_train_cfg(tmp_path, synth_csv)
+        cfg.write_text(cfg.read_text().replace(
+            f"datasets = mix={synth_csv.name}", f"datasets = mix={synth_csv.name};mix=b.csv"))
+        assert main(["pretrain", str(cfg), str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error: [data] datasets lists 'mix' twice\n"
 
     @pytest.mark.parametrize("setting", [
         "beta1 = 1.0", "beta1 = -0.1", "beta2 = 1.5", "adam_eps = 0",
@@ -177,19 +244,23 @@ class TestPretrainCommand:
 
     @pytest.mark.parametrize("section,key", [
         (section, key) for section, cls in (("model", ModelConfig), ("train", TrainConfig),
-                                            ("eval", EvalSettings))
+                                            ("eval", EvalSettings), ("data", DataSettings),
+                                            ("synth", SynthSpec))
         for key in _ini_fields(cls)
     ])
     def test_every_field_value_exits_0_or_2(self, tmp_path, synth_csv, capsys, request,
                                             section, key):
-        # every [model]/[train]/[eval] field, including fields added later, must
-        # either run or be rejected as a config error, never a traceback; [eval]
-        # fields run a few-shot evaluate, the protocol that reads them all
+        # every field of every section, including fields added later, must
+        # either run or be rejected as a config error, never a traceback;
+        # [eval] fields run a few-shot evaluate, the protocol that reads them
+        # all, and [synth] fields run the synth command
         bodies = {"model": TINY_MODEL_SECTION,
                   "train": TRAIN_SECTION.replace("epochs = 2", "epochs = 1"),
-                  "eval": FEW_SHOT_EVAL}
-        head = (["evaluate", str(request.getfixturevalue("pretrained"))]
-                if section == "eval" else ["pretrain"])
+                  "eval": FEW_SHOT_EVAL,
+                  "data": f"[data]\ndatasets = mix={synth_csv.name}\nsplit = 0.7,0.1,0.2\n",
+                  "synth": SWEEP_SYNTH}
+        head = {"eval": ["evaluate", str(request.getfixturevalue("pretrained"))],
+                "synth": ["synth"]}.get(section, ["pretrain"])
         for value in ("0", "-1", "abc"):
             lines = [line for line in bodies[section].splitlines()
                      if not line.startswith(f"{key} =")]
@@ -197,7 +268,7 @@ class TestPretrainCommand:
             text = "\n".join(lines) + "\n" + "".join(
                 body for name, body in bodies.items() if name != section)
             cfg = tmp_path / "sweep.cfg"
-            cfg.write_text(text + f"[data]\ndatasets = mix={synth_csv.name}\n")
+            cfg.write_text(text)
             code = main(head + [str(cfg), str(tmp_path / f"out{value}")])
             err = capsys.readouterr().err
             assert code in (0, 2), f"[{section}] {key} = {value}: exit {code}"
@@ -238,6 +309,8 @@ class TestPretrainCommand:
 
 
 FEW_SHOT_EVAL = "[eval]\nprotocol = few-shot\nfraction = 0.5\nhorizons = 4,8\nlookback = 12\n"
+SWEEP_SYNTH = ("[synth]\nname = s\nlength = 50\nchannels = 2\n"
+               "components = sine(period=10) + noise(sigma=0.1)\nseed = 1\n")
 
 
 def command_run(command, tmp_path, synth_csv, pretrained, scope=None):

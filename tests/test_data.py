@@ -185,35 +185,36 @@ class TestSampleWindows:
 class TestSynth:
     def test_sine_peak(self):
         spec = SynthSpec("s", length=96, components=[SineComponent(period=48, amplitude=1.0)])
-        series = synth_generate(spec, seed=0)
+        series = synth_generate(spec)
         assert series.values[0, 12] == pytest.approx(1.0)
 
     def test_zero_noise_deterministic_components(self):
         spec = SynthSpec(
             "s", length=50, channels=3,
             components=[SineComponent(24.0), TrendComponent(0.01), NoiseComponent(0.0)],
+            seed=3,
         )
-        series = synth_generate(spec, seed=3)
+        series = synth_generate(spec)
         t = np.arange(50.0)
         expected = np.sin(2 * np.pi * t / 24.0) + 0.01 * t
         for c in range(3):
             np.testing.assert_allclose(series.values[c], expected, atol=1e-12)
 
     def test_reproducible(self):
-        spec = SynthSpec("s", length=40, channels=2, components=[NoiseComponent(1.0)])
-        a = synth_generate(spec, seed=5)
-        b = synth_generate(spec, seed=5)
+        spec = SynthSpec("s", length=40, channels=2, components=[NoiseComponent(1.0)], seed=5)
+        a = synth_generate(spec)
+        b = synth_generate(spec)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_channels_draw_independent_noise(self):
-        spec = SynthSpec("s", length=40, channels=2, components=[NoiseComponent(1.0)])
-        series = synth_generate(spec, seed=5)
+        spec = SynthSpec("s", length=40, channels=2, components=[NoiseComponent(1.0)], seed=5)
+        series = synth_generate(spec)
         assert not np.array_equal(series.values[0], series.values[1])
 
     def test_bad_period(self):
         with pytest.raises(ConfigError):
-            synth_generate(SynthSpec("s", 10, components=[SineComponent(0.0)]), 0)
+            synth_generate(SynthSpec("s", 10, components=[SineComponent(0.0)]))
 
     def test_bad_length(self):
-        with pytest.raises(ConfigError):
-            synth_generate(SynthSpec("s", 0), 0)
+        with pytest.raises(ConfigError, match="length"):
+            synth_generate(SynthSpec("s", 0, components=[NoiseComponent(1.0)]))

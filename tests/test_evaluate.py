@@ -35,8 +35,8 @@ TINY = ModelConfig(num_stages=2, pool_kernels=(2, 1), token_len=4, max_tokens=3,
 
 def sine_series(name, period, length=400, channels=2, sigma=0.05, seed=0):
     spec = SynthSpec(name, length=length, channels=channels,
-                     components=[SineComponent(period), NoiseComponent(sigma)])
-    return synth_generate(spec, seed=seed)
+                     components=[SineComponent(period), NoiseComponent(sigma)], seed=seed)
+    return synth_generate(spec)
 
 
 @pytest.fixture(scope="module")

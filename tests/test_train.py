@@ -39,8 +39,8 @@ def mixed_from(series_list, role, ratios=(0.7, 0.1, 0.2)):
 
 def sine_series(name, period, length=400, channels=2, sigma=0.05, seed=0):
     spec = SynthSpec(name, length=length, channels=channels,
-                     components=[SineComponent(period), NoiseComponent(sigma)])
-    return synth_generate(spec, seed=seed)
+                     components=[SineComponent(period), NoiseComponent(sigma)], seed=seed)
+    return synth_generate(spec)
 
 
 class TestArLoss:
