@@ -424,10 +424,10 @@ def linear_interp_upsample(a: Tensor, target_len: int) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate is 0."""
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout; identity when rate is 0 or there is no rng."""
     a = _as_tensor(a)
-    if rate <= 0.0:
+    if rate <= 0.0 or rng is None:
         return a
     if rate >= 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")

@@ -14,7 +14,9 @@ or failed run leaves nothing behind; a failed write exits 3 with no partial file
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -36,7 +38,7 @@ from .errors import (
     ProtocolError,
     ShapeError,
 )
-from .evaluate import EvalReport, format_table, report_to_csv, run_protocol
+from .evaluate import format_table, report_to_csv, run_protocol
 from .infer import ForecastRequest, ar_forecast
 from .model import count_parameters
 from .train import finetune_heads, loss_curve_to_csv, pretrain
@@ -67,15 +69,21 @@ def _check_output(path: Path, run_dir: bool, force: bool = False) -> None:
 
 
 def _write(path: Path, body: str | bytes) -> None:
-    """Write ``body`` through a temporary file in the same directory and
-    rename it into place, so ``path`` never holds part of ``body``."""
+    """Write ``body`` through a fresh temporary file in the same directory and
+    rename it into place, so ``path`` never holds part of ``body`` and no
+    other file is touched."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        tmp.write_bytes(body.encode("utf-8") if isinstance(body, str) else body)
-        tmp.replace(path)
+        with open(fd, "wb") as fh:
+            fh.write(body.encode("utf-8") if isinstance(body, str) else body)
+        # mkstemp makes the file 0600; give it the mode a plain open would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        Path(tmp).unlink(missing_ok=True)
 
 
 def _mixed_pair(datasets):
@@ -138,14 +146,11 @@ def cmd_evaluate(args) -> int:
     train_cfg = (run.train_config("head", seed=args.seed)
                  if settings.protocol == "few-shot" else None)
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
-    reports = [run_protocol(ckpt, series, split, settings, train_cfg, args.threads)
-               for series, split in run.load_datasets()]
-    combined = EvalReport(rows=[row for report in reports for row in report.rows],
-                          fingerprint=reports[-1].fingerprint)
-    _write(out_dir / "report.csv", report_to_csv(combined))
+    report = run_protocol(ckpt, run.load_datasets(), settings, train_cfg, args.threads)
+    _write(out_dir / "report.csv", report_to_csv(report))
     _write(out_dir / "resolved.cfg", render_resolved(
         train=train_cfg, data=run.resolved_data(), evaluation=settings))
-    print(format_table(combined))
+    print(format_table(report))
     return EXIT_OK
 
 

@@ -66,7 +66,7 @@ def load_csv_dataset(path, name: str) -> MultivariateSeries:
     non-finite cells raise DataError naming the offending row/column.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open dataset {path}: {exc}") from exc
     with fh:

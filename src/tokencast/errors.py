@@ -30,7 +30,8 @@ class CheckpointVersionError(CheckpointFormatError):
 
 
 class ProtocolError(RuntimeError):
-    """Evaluation protocol violated (e.g. zero-shot on a pretraining source)."""
+    """Evaluation protocol violated (e.g. zero-shot on a dataset the checkpoint
+    was pretrained or fine-tuned on)."""
 
 
 class NumericAbort(RuntimeError):

@@ -2,10 +2,11 @@
 
 ``evaluate`` slides windows over a dataset's test range and scores forecasts
 per horizon. ``run_protocol`` is the one entry point for the three protocols
-an ``EvalSettings`` names: standard evaluates directly, zero-shot first
-refuses datasets that were part of the checkpoint's pretraining mix, and
-few-shot first tunes the forecast heads on the most recent fraction of the
-training range. Metrics are computed in series units on denormalized outputs.
+an ``EvalSettings`` names, over all of a run's datasets: it checks every
+dataset before any work, zero-shot refusing any dataset the checkpoint was
+pretrained or fine-tuned on, and few-shot then tunes the forecast heads on the
+most recent fraction of each dataset's training range before scoring it.
+Metrics are computed in series units on denormalized outputs.
 """
 
 from __future__ import annotations
@@ -92,18 +93,6 @@ def naive_baselines(
     return persistence, season[..., idx]
 
 
-def _model_decoder(ckpt: Checkpoint):
-    params = to_params(ckpt)
-
-    def decode(lookbacks: np.ndarray, row_horizons: np.ndarray) -> np.ndarray:
-        horizon = int(row_horizons.max())
-        preds, _, _, _ = _decode_batch(params, lookbacks, horizon,
-                                       horizons=row_horizons)
-        return preds
-
-    return decode
-
-
 def _grouped_decoder(forecast_fn):
     """Serve per-row horizons with one forecast_fn call per distinct horizon."""
 
@@ -164,14 +153,17 @@ def evaluate(
     """
     _check_eval_settings(series, split, EvalSettings(
         horizons=tuple(horizons), lookback=lookback_len, stride=stride), threads)
-    if forecast_fn is None:
-        if ckpt is None:
-            raise ConfigError("evaluate needs a checkpoint or a forecast_fn")
-        decode = _model_decoder(ckpt)
-    else:
+    if forecast_fn is not None:
         decode = _grouped_decoder(forecast_fn)
+    elif ckpt is None:
+        raise ConfigError("evaluate needs a checkpoint or a forecast_fn")
+    else:
+        params = to_params(ckpt)
+
+        def decode(lookbacks: np.ndarray, row_horizons: np.ndarray) -> np.ndarray:
+            return _decode_batch(params, lookbacks, int(row_horizons.max()),
+                                 horizons=row_horizons)[0]
     lo, hi = split.test
-    available = hi - lo
     needed = lookback_len + max(horizons)
 
     # origins lo + L + i * stride for i < count[h]; every horizon's origins
@@ -187,27 +179,24 @@ def evaluate(
 
     # one (lookback + longest horizon) window per row, NaN-padded past the
     # end of the test range; each row is scored only up to its own horizon
-    pad = (len(origin_horizon) - 1) * stride + needed - available
+    pad = (len(origin_horizon) - 1) * stride + needed - (hi - lo)
     segment = np.pad(series.values[:, lo:hi], ((0, 0), (0, max(pad, 0))),
                      constant_values=np.nan)
     windows = sliding_window_view(segment, needed, axis=-1)[:, ::stride][:, :len(origin_horizon)]
     windows = windows.transpose(1, 0, 2).reshape(-1, needed)
     lookbacks, truth = windows[:, :lookback_len], windows[:, lookback_len:]
 
-    if threads > 1 and len(windows) > 1:
-        # worker k decodes rows k, k + threads, ...: every chunk stays
-        # longest-first and gets an equal share of the long rows
-        workers = min(threads, len(windows))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda k: decode(lookbacks[k::threads], row_horizons[k::threads]),
-                range(workers),
-            ))
-        preds = np.full(truth.shape, np.nan)
-        for k, part in enumerate(parts):
-            preds[k::threads, :part.shape[1]] = part
-    else:
-        preds = decode(lookbacks, row_horizons)
+    # worker k decodes rows k, k + workers, ...: every chunk stays
+    # longest-first and gets an equal share of the long rows
+    workers = min(threads, len(windows))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(
+            lambda k: decode(lookbacks[k::workers], row_horizons[k::workers]),
+            range(workers),
+        ))
+    preds = np.full(truth.shape, np.nan)
+    for k, part in enumerate(parts):
+        preds[k::workers, :part.shape[1]] = part
 
     rows: list[EvalRow] = []
     for horizon in sorted(horizons):
@@ -223,38 +212,49 @@ def evaluate(
 
 def run_protocol(
     ckpt: Checkpoint,
-    series: MultivariateSeries,
-    split: DatasetSplit,
+    datasets: list[tuple[MultivariateSeries, DatasetSplit]],
     settings: EvalSettings,
     train_config: TrainConfig | None = None,
     threads: int = 1,
 ) -> EvalReport:
-    """Score ``ckpt`` on ``series`` under ``settings.protocol``.
+    """Score ``ckpt`` on every ``(series, split)`` under ``settings.protocol``.
 
-    Every setting is checked first. Zero-shot then refuses a target that was
-    in the pretraining mix; few-shot tunes the heads with ``train_config`` on
-    the most recent ``settings.fraction`` of the train range. The full test
-    range is scored in every protocol.
+    Every dataset is checked before any tuning or scoring; zero-shot refuses a
+    dataset the checkpoint was pretrained or fine-tuned on. Few-shot tunes the
+    heads of ``ckpt`` for each dataset with ``train_config`` on the most recent
+    ``settings.fraction`` of its train range. The full test range is scored in
+    every protocol. Rows follow the datasets, and the fingerprint is the last
+    scored checkpoint's.
     """
-    _check_eval_settings(series, split, settings, threads)
-    if settings.protocol == "zero-shot":
-        sources = [s for s in ckpt.metadata.get("train_sources", "").split(",") if s]
-        if series.name in sources:
+    if not datasets:
+        raise ConfigError("need at least one dataset to evaluate")
+    seen = {name for key in ("train_sources", "finetuned_on")
+            for name in ckpt.metadata.get(key, "").split(",") if name}
+    for series, split in datasets:
+        _check_eval_settings(series, split, settings, threads)
+        if settings.protocol == "zero-shot" and series.name in seen:
             raise ProtocolError(
-                f"zero-shot violation: {series.name} is one of the checkpoint's "
-                f"pretraining sources ({', '.join(sources)})"
-            )
-    elif settings.protocol == "few-shot":
-        if train_config is None:
-            raise ConfigError("few-shot protocol needs a TrainConfig to tune the heads")
-        a, b = split.train
-        keep = int((b - a) * settings.fraction)
-        reduced = replace(split, train=(b - keep, b))
-        train_mixed = build_mixed_dataset([(series, reduced)], "train")
-        val_mixed = build_mixed_dataset([(series, reduced)], "validation")
-        ckpt, _ = finetune_heads(ckpt, train_config, train_mixed, val_mixed)
-    return evaluate(ckpt, series, split, list(settings.horizons), settings.lookback,
-                    stride=settings.stride, threads=threads)
+                f"zero-shot violation: the checkpoint was trained or tuned on {series.name}")
+    if settings.lookback < ckpt.config.token_len:
+        raise ConfigError(f"lookback {settings.lookback} is shorter than the "
+                          f"checkpoint's token_len {ckpt.config.token_len}")
+    if settings.protocol == "few-shot" and train_config is None:
+        raise ConfigError("few-shot protocol needs a TrainConfig to tune the heads")
+
+    rows: list[EvalRow] = []
+    for series, split in datasets:
+        scored = ckpt
+        if settings.protocol == "few-shot":
+            a, b = split.train
+            keep = int((b - a) * settings.fraction)
+            reduced = [(series, replace(split, train=(b - keep, b)))]
+            scored, _ = finetune_heads(ckpt, train_config,
+                                       build_mixed_dataset(reduced, "train"),
+                                       build_mixed_dataset(reduced, "validation"))
+        report = evaluate(scored, series, split, list(settings.horizons),
+                          settings.lookback, stride=settings.stride, threads=threads)
+        rows += report.rows
+    return EvalReport(rows=rows, fingerprint=report.fingerprint)
 
 
 # ---------------------------------------------------------------------------

@@ -50,12 +50,12 @@ def _decode_batch(params: ModelParams, lookbacks: np.ndarray, horizon: int,
     """Decode a (N, L) batch of univariate lookbacks to (N, horizon).
 
     Rows are independent: every kernel is row-local, so batched decoding is
-    bit-identical to one-at-a-time decoding. ``horizons`` optionally gives
-    each row its own horizon, non-increasing down the rows and starting at
-    ``horizon``: a row retires from the batch once its own horizon is
-    decoded, so later steps run on a shrinking prefix of the rows, and its
-    output past its own horizon is NaN. The returned step count is the
-    longest row's.
+    bit-identical to one-at-a-time decoding. ``horizons`` gives each row its
+    own horizon, non-increasing down the rows and starting at ``horizon``
+    (every row's horizon is ``horizon`` if it is omitted): a row retires from
+    the batch once its own horizon is decoded, so later steps run on a
+    shrinking prefix of the rows, and its output past its own horizon is NaN.
+    The returned step count is the longest row's.
     """
     cfg = params.config
     t_len = cfg.token_len
@@ -66,29 +66,26 @@ def _decode_batch(params: ModelParams, lookbacks: np.ndarray, horizon: int,
         raise DataError("lookback contains non-finite values")
     ctx, mu, scale = instance_normalize(lookbacks, t_len, cfg.max_tokens)
 
+    horizons = np.full(rows, horizon) if horizons is None else np.asarray(horizons)
+    if (horizons.shape != (rows,) or np.any(horizons < 1)
+            or np.any(horizons[:1] != horizon) or np.any(np.diff(horizons) > 0)):
+        raise ConfigError(
+            f"per-row horizons must be {rows} non-increasing values in "
+            f"[1, {horizon}] reaching {horizon}"
+        )
     steps = math.ceil(horizon / t_len)
-    active = [rows] * steps  # rows still decoding at each step
-    if horizons is not None:
-        horizons = np.asarray(horizons)
-        if (horizons.shape != (rows,) or horizons.min(initial=1) < 1
-                or horizons.max(initial=0) != horizon or np.any(np.diff(horizons) > 0)):
-            raise ConfigError(
-                f"per-row horizons must be {rows} non-increasing values in "
-                f"[1, {horizon}] reaching {horizon}"
-            )
-        row_steps = -(-horizons // t_len)
-        active = [int(np.count_nonzero(row_steps > s)) for s in range(steps)]
+    row_steps = -(-horizons // t_len)
     decoded = np.full((rows, steps * t_len), np.nan)
     with no_grad():
-        for s, n in enumerate(active):
+        for s in range(steps):
+            n = int(np.count_nonzero(row_steps > s))  # rows still decoding
             ctx = ctx[:n]
             window = context_window(ctx, cfg.max_tokens)
             out = model_forward(params, Tensor(window))
             next_token = out.prediction.values[..., -1:, :]
             decoded[:n, s * t_len:(s + 1) * t_len] = next_token[..., 0, :]
             ctx = np.concatenate([ctx, next_token], axis=-2)
-    if horizons is not None:
-        decoded[np.arange(steps * t_len) >= horizons[:, None]] = np.nan
+    decoded[np.arange(steps * t_len) >= horizons[:, None]] = np.nan
     return denormalize(decoded[:, :horizon], mu, scale), mu[..., 0], scale[..., 0], steps
 
 

@@ -236,15 +236,11 @@ def _transformer_layer(
     normed = layer_norm(h, a[prefix + "ln1.gain"], a[prefix + "ln1.bias"])
     attn_w = {k: a[prefix + "attn." + k] for k in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")}
     attended = causal_self_attention(normed, attn_w, cfg.attention_heads)
-    if rng is not None and cfg.dropout_rate > 0.0:
-        attended = dropout(attended, cfg.dropout_rate, rng)
-    h = add(h, attended)
+    h = add(h, dropout(attended, cfg.dropout_rate, rng))
     normed = layer_norm(h, a[prefix + "ln2.gain"], a[prefix + "ln2.bias"])
     ff = linear(gelu(linear(normed, a[prefix + "ff.w1"], a[prefix + "ff.b1"])),
                 a[prefix + "ff.w2"], a[prefix + "ff.b2"])
-    if rng is not None and cfg.dropout_rate > 0.0:
-        ff = dropout(ff, cfg.dropout_rate, rng)
-    return add(h, ff)
+    return add(h, dropout(ff, cfg.dropout_rate, rng))
 
 
 def stage_forward(

@@ -110,11 +110,7 @@ def _mean_window_mse(params: ModelParams, windows: np.ndarray,
 
 
 def _sources_of(mixed: MixedDataset) -> list[str]:
-    seen: list[str] = []
-    for seg in mixed.segments:
-        if seg.source not in seen:
-            seen.append(seg.source)
-    return seen
+    return list(dict.fromkeys(seg.source for seg in mixed.segments))
 
 
 def _fit(
@@ -239,13 +235,16 @@ def finetune_heads(
     """Continue training from a checkpoint, updating only the configured scope.
 
     With scope "head" every non-head array of the result is bit-identical to
-    the source checkpoint; zero epochs returns an exact copy.
+    the source checkpoint; zero epochs returns an exact copy. The
+    ``finetuned_on`` metadata keeps the source checkpoint's names, in order,
+    and appends this run's sources that it lacks.
     """
     train_config.validate()
     params = to_params(ckpt)
     history, fit_metadata = _fit(params, train_config, train_mixed, val_mixed)
+    earlier = [s for s in ckpt.metadata.get("finetuned_on", "").split(",") if s]
     metadata = {**ckpt.metadata, **fit_metadata,
-                "finetuned_on": ",".join(_sources_of(train_mixed))}
+                "finetuned_on": ",".join(dict.fromkeys(earlier + _sources_of(train_mixed)))}
     return from_params(params, metadata), history
 
 

@@ -354,11 +354,11 @@ class TestCriterion8ZeroShot:
         seen, seen_split = make_source("s24", [SineComponent(24, 1.0), NOISE], seed=200)
         guard_ok = False
         try:
-            run_protocol(humility_ckpt, seen, seen_split, zero_shot)
+            run_protocol(humility_ckpt, [(seen, seen_split)], zero_shot)
         except ProtocolError:
             guard_ok = True
         before = checkpoint_hash(humility_ckpt)
-        zs = run_protocol(humility_ckpt, target, tsplit, zero_shot)
+        zs = run_protocol(humility_ckpt, [(target, tsplit)], zero_shot)
         after = checkpoint_hash(humility_ckpt)
         pers = evaluate(None, target, tsplit, [96], 168, stride=9,
                         forecast_fn=persistence_fn)

@@ -608,6 +608,10 @@ class TestStructuralOps:
         out = dropout(x, 0.0, np.random.default_rng(0))
         assert out is x
 
+    def test_dropout_without_rng_identity(self, rng):
+        x = Tensor(rng.uniform(-1, 1, (3, 3)))
+        assert dropout(x, 0.5, None) is x
+
     def test_dropout_scales_kept_values(self):
         x = Tensor(np.ones((100, 100)))
         out = dropout(x, 0.5, np.random.default_rng(0))

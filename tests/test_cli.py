@@ -421,6 +421,25 @@ class TestRejectedRun:
         assert not list(tmp_path.rglob("*.tmp"))
 
 
+    # a write stages through a fresh temporary name, so a file of the user's
+    # that happens to be named like one survives byte for byte
+    @pytest.mark.parametrize("command,out_name,user_file", [
+        ("forecast", "fc.csv", "fc.csv.tmp"), ("pretrain", "busy", "busy/model.ckpt.tmp"),
+    ])
+    def test_write_keeps_users_tmp_file(self, tmp_path, synth_csv, pretrained,
+                                        command, out_name, user_file):
+        user = tmp_path / user_file
+        user.parent.mkdir(exist_ok=True)
+        user.write_bytes(b"mine\n")
+        assert main(["--force"] + output_head(command, tmp_path, synth_csv, pretrained)
+                    + [str(tmp_path / out_name)]) == 0
+        assert user.read_bytes() == b"mine\n"
+        assert sorted(p.name for p in user.parent.glob("*.tmp")) == [user.name]
+        # and the output gets the mode a plain write gives
+        (tmp_path / "plain").write_bytes(b"")
+        assert (user.parent / user.stem).stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
 def output_head(command, tmp_path, synth_csv, pretrained):
     """The arguments of ``command`` that come before its output path."""
     if command == "forecast":
@@ -518,20 +537,99 @@ class TestEvaluateCommand:
         cfg = self.eval_cfg(tmp_path, synth_csv, "protocol = zero-shot\n")
         assert main(["evaluate", str(pretrained), str(cfg), str(tmp_path / "z")]) == 5
 
-    def test_zero_shot_on_unseen_dataset(self, tmp_path, synth_csv, pretrained):
-        other_cfg = tmp_path / "other.cfg"
-        other_cfg.write_text(
-            "[synth]\nname = other\nlength = 200\nchannels = 1\n"
+    def synth(self, tmp_path, name, length):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(
+            f"[synth]\nname = {name}\nlength = {length}\nchannels = 1\n"
             "components = sine(period=12) + noise(sigma=0.05)\nseed = 9\n"
         )
-        other_csv = tmp_path / "other.csv"
-        assert main(["synth", str(other_cfg), str(other_csv)]) == 0
+        out = tmp_path / f"{name}.csv"
+        assert main(["synth", str(cfg), str(out)]) == 0
+        return out
+
+    def test_zero_shot_on_unseen_dataset(self, tmp_path, synth_csv, pretrained):
+        other_csv = self.synth(tmp_path, "other", 200)
         cfg = tmp_path / "eval.cfg"
         cfg.write_text(
             f"[data]\ndatasets = other={other_csv.name}\n"
             "[eval]\nprotocol = zero-shot\nhorizons = 4\nlookback = 12\nstride = 4\n"
         )
         assert main(["evaluate", str(pretrained), str(cfg), str(tmp_path / "z2")]) == 0
+
+    def test_zero_shot_on_finetuned_dataset_exits_5(self, tmp_path, synth_csv, pretrained,
+                                                     capsys):
+        other_csv = self.synth(tmp_path, "other", 200)
+        ft_cfg = write_train_cfg(tmp_path, other_csv).read_text()
+        ft_cfg = ft_cfg.replace(f"mix={other_csv.name}", f"other={other_csv.name}")
+        (tmp_path / "ft.cfg").write_text(ft_cfg)
+        assert main(["finetune", str(pretrained), str(tmp_path / "ft.cfg"),
+                     str(tmp_path / "ft")]) == 0
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(
+            f"[data]\ndatasets = other={other_csv.name}\n"
+            "[eval]\nprotocol = zero-shot\nhorizons = 4\nlookback = 12\nstride = 4\n"
+        )
+        capsys.readouterr()
+        out = tmp_path / "z"
+        assert main(["evaluate", str(tmp_path / "ft" / "model.ckpt"), str(cfg),
+                     str(out)]) == 5
+        assert "trained or tuned on other" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_shot_checks_every_dataset_before_scoring(
+            self, tmp_path, synth_csv, pretrained, monkeypatch):
+        import tokencast.evaluate as ev
+
+        calls = []
+        monkeypatch.setattr(ev, "evaluate", lambda *args, **kwargs: calls.append(args))
+        other_csv = self.synth(tmp_path, "other", 200)
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(
+            f"[data]\ndatasets = other={other_csv.name};mix={synth_csv.name}\n"
+            "[eval]\nprotocol = zero-shot\nhorizons = 4\nlookback = 12\nstride = 4\n"
+        )
+        out = tmp_path / "z"
+        assert main(["evaluate", str(pretrained), str(cfg), str(out)]) == 5
+        assert calls == []
+        assert not out.exists()
+
+    def test_few_shot_checks_every_dataset_before_tuning(
+            self, tmp_path, synth_csv, pretrained, monkeypatch, capsys):
+        import tokencast.evaluate as ev
+
+        calls = []
+        monkeypatch.setattr(ev, "finetune_heads", lambda *args: calls.append(args))
+        short_csv = self.synth(tmp_path, "short", 60)
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(
+            f"[data]\ndatasets = mix={synth_csv.name};short={short_csv.name}\n"
+            + FEW_SHOT_EVAL + TRAIN_SECTION
+        )
+        capsys.readouterr()
+        out = tmp_path / "fs"
+        assert main(["evaluate", str(pretrained), str(cfg), str(out)]) == 2
+        assert "test range of short too short" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("protocol", ["standard", "few-shot"])
+    def test_lookback_below_token_exits_2_before_work(
+            self, tmp_path, synth_csv, pretrained, monkeypatch, capsys, protocol):
+        import tokencast.evaluate as ev
+
+        calls = []
+        monkeypatch.setattr(ev, "finetune_heads", lambda *args: calls.append(args))
+        cfg = self.eval_cfg(tmp_path, synth_csv,
+                            f"protocol = {protocol}\nfraction = 0.5\n")
+        cfg.write_text(cfg.read_text().replace("lookback = 12", "lookback = 3")
+                       + TRAIN_SECTION)
+        capsys.readouterr()
+        out = tmp_path / "lb"
+        assert main(["evaluate", str(pretrained), str(cfg), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: lookback 3 is shorter than the checkpoint's token_len 4\n"
+        assert calls == []
+        assert not out.exists()
 
     def test_few_shot_without_fraction_exits_2(self, tmp_path, synth_csv, pretrained):
         cfg = self.eval_cfg(tmp_path, synth_csv, "protocol = few-shot\n")

@@ -32,6 +32,12 @@ class TestLoadCsv:
         assert s.num_channels == 2 and s.length == 10
         np.testing.assert_array_equal(s.values[1], np.arange(1, 11) * 2)
 
+    def test_leading_byte_order_mark_ignored(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfdate,a\n2020-01-01,1.5\n2020-01-02,2.5\n")
+        s = load_csv_dataset(p, "bom")
+        np.testing.assert_array_equal(s.values, [[1.5, 2.5]])
+
     def test_ett_shaped_file(self, tmp_path):
         p = tmp_path / "ett.csv"
         header = "date," + ",".join(f"v{i}" for i in range(7))

@@ -1,5 +1,6 @@
 import csv
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,13 +231,32 @@ class TestZeroShot:
         series = sine_series("trainsrc", 24, length=300)
         split = chronological_split(series, 0.6, 0.2, 0.2)
         with pytest.raises(ProtocolError, match="trainsrc"):
-            run_protocol(tiny_ckpt, series, split, EvalSettings("zero-shot", (8,), 12))
+            run_protocol(tiny_ckpt, [(series, split)], EvalSettings("zero-shot", (8,), 12))
+
+    def test_guard_rejects_finetuned_target(self, tiny_ckpt):
+        tuned = replace(tiny_ckpt, metadata={**tiny_ckpt.metadata, "finetuned_on": "tuned"})
+        series = sine_series("tuned", 24, length=300)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        with pytest.raises(ProtocolError, match="tuned"):
+            run_protocol(tuned, [(series, split)], EvalSettings("zero-shot", (8,), 12))
+
+    def test_guard_checks_every_dataset_before_scoring(self, tiny_ckpt, monkeypatch):
+        import tokencast.evaluate as ev
+
+        calls = []
+        monkeypatch.setattr(ev, "evaluate", lambda *args, **kwargs: calls.append(args))
+        datasets = [(s, chronological_split(s, 0.6, 0.2, 0.2))
+                    for s in (sine_series("unseen", 48, length=300, seed=5),
+                              sine_series("trainsrc", 24, length=300))]
+        with pytest.raises(ProtocolError, match="trainsrc"):
+            run_protocol(tiny_ckpt, datasets, EvalSettings("zero-shot", (8,), 12))
+        assert calls == []
 
     def test_unseen_dataset_evaluated_without_mutation(self, tiny_ckpt):
         before = checkpoint_hash(tiny_ckpt)
         series = sine_series("unseen", 48, length=300, seed=5)
         split = chronological_split(series, 0.6, 0.2, 0.2)
-        report = run_protocol(tiny_ckpt, series, split,
+        report = run_protocol(tiny_ckpt, [(series, split)],
                               EvalSettings("zero-shot", (8,), 12, stride=4))
         assert report.rows[0].windows > 0
         assert checkpoint_hash(tiny_ckpt) == before
@@ -249,10 +269,11 @@ class TestZeroShot:
                            build_mixed_dataset([(src, split)], "validation"))
         target = sine_series("unseen12", 12, length=600, seed=5)
         tsplit = chronological_split(target, 0.6, 0.2, 0.2)
-        zs = run_protocol(ckpt, target, tsplit,
+        zs = run_protocol(ckpt, [(target, tsplit)],
                           EvalSettings("zero-shot", (8,), 12, stride=2)).rows[0].mse
         tuned = run_protocol(
-            ckpt, target, tsplit, EvalSettings("few-shot", (8,), 12, stride=2, fraction=1.0),
+            ckpt, [(target, tsplit)],
+            EvalSettings("few-shot", (8,), 12, stride=2, fraction=1.0),
             TrainConfig(epochs=6, stride=1, seed=0, scope="head", patience=6),
         ).rows[0].mse
         assert zs >= tuned  # ties allowed
@@ -264,14 +285,15 @@ class TestFewShot:
         split = chronological_split(series, 0.6, 0.2, 0.2)
         for bad in (0.0, -0.5, 1.5, float("nan")):
             with pytest.raises(ConfigError):
-                run_protocol(tiny_ckpt, series, split,
+                run_protocol(tiny_ckpt, [(series, split)],
                              EvalSettings("few-shot", (8,), 12, fraction=bad),
                              TrainConfig(epochs=0, scope="head"))
 
     @pytest.mark.parametrize("horizons,stride,lookback,threads", [
         ([0], 1, 12, 1), ([8], 0, 12, 1), ([8], 1, 0, 1), ([8], 1, 12, 0),
-        ([96], 1, 12, 1),
-    ], ids=["horizons", "stride", "lookback", "threads", "test_range"])
+        ([96], 1, 12, 1), ([8], 1, 3, 1),
+    ], ids=["horizons", "stride", "lookback", "threads", "test_range",
+            "lookback_below_token"])
     def test_bad_settings_rejected_before_tuning(self, tiny_ckpt, monkeypatch, horizons,
                                                  stride, lookback, threads):
         import tokencast.evaluate as ev
@@ -281,9 +303,23 @@ class TestFewShot:
         series = sine_series("f", 24, length=300)
         split = chronological_split(series, 0.6, 0.2, 0.2)
         with pytest.raises(ConfigError, match="horizons|stride|lookback|threads|too short"):
-            run_protocol(tiny_ckpt, series, split,
+            run_protocol(tiny_ckpt, [(series, split)],
                          EvalSettings("few-shot", tuple(horizons), lookback, stride, 0.5),
                          TrainConfig(epochs=1, scope="head"), threads=threads)
+        assert calls == []
+
+    def test_every_dataset_checked_before_tuning(self, tiny_ckpt, monkeypatch):
+        import tokencast.evaluate as ev
+
+        calls = []
+        monkeypatch.setattr(ev, "finetune_heads", lambda *args: calls.append(args))
+        datasets = [(s, chronological_split(s, 0.6, 0.2, 0.2))
+                    for s in (sine_series("f", 24, length=300),
+                              sine_series("short", 24, length=60))]
+        with pytest.raises(ConfigError, match="test range of short too short"):
+            run_protocol(tiny_ckpt, datasets,
+                         EvalSettings("few-shot", (4, 8), 12, fraction=0.5),
+                         TrainConfig(epochs=1, scope="head"))
         assert calls == []
 
     def test_fraction_keeps_most_recent(self, tiny_ckpt, monkeypatch):
@@ -300,7 +336,7 @@ class TestFewShot:
             return real(ckpt, cfg, train_mixed, val_mixed)
 
         monkeypatch.setattr(ev, "finetune_heads", spy)
-        run_protocol(tiny_ckpt, series, split,
+        run_protocol(tiny_ckpt, [(series, split)],
                      EvalSettings("few-shot", (8,), 12, stride=8, fraction=0.1),
                      TrainConfig(epochs=0, scope="head"))
         # train range is (0, 600); 10% keeps the last 60 points
@@ -309,7 +345,7 @@ class TestFewShot:
     def test_full_fraction_equals_standard_range(self, tiny_ckpt):
         series = sine_series("f", 24, length=400)
         split = chronological_split(series, 0.6, 0.2, 0.2)
-        report = run_protocol(tiny_ckpt, series, split,
+        report = run_protocol(tiny_ckpt, [(series, split)],
                               EvalSettings("few-shot", (8,), 12, stride=4, fraction=1.0),
                               TrainConfig(epochs=0, scope="head"))
         baseline = evaluate(tiny_ckpt, series, split, [8], lookback_len=12, stride=4)
@@ -319,7 +355,7 @@ class TestFewShot:
         series = sine_series("f", 24, length=300)
         split = chronological_split(series, 0.6, 0.2, 0.2)
         with pytest.raises(ConfigError, match="TrainConfig"):
-            run_protocol(tiny_ckpt, series, split,
+            run_protocol(tiny_ckpt, [(series, split)],
                          EvalSettings("few-shot", (8,), 12, fraction=0.5))
 
 
@@ -333,10 +369,25 @@ class TestEvalSettings:
         with pytest.raises(ConfigError, match="fraction must lie in"):
             EvalSettings(protocol="few-shot").validate()
 
+    def test_no_datasets_rejected(self, tiny_ckpt):
+        with pytest.raises(ConfigError, match="at least one dataset"):
+            run_protocol(tiny_ckpt, [], EvalSettings())
+
+    def test_rows_follow_datasets_in_order(self, tiny_ckpt):
+        datasets = [(s, chronological_split(s, 0.6, 0.2, 0.2))
+                    for s in (sine_series("b", 24, length=300),
+                              sine_series("a", 12, length=300, seed=2))]
+        settings = EvalSettings("standard", (4, 8), 12, 4)
+        report = run_protocol(tiny_ckpt, datasets, settings)
+        assert report.rows == [row for series, split in datasets for row in
+                               evaluate(tiny_ckpt, series, split, [4, 8], 12, stride=4).rows]
+        assert report.fingerprint == checkpoint_hash(tiny_ckpt)[:16]
+
     def test_standard_protocol_is_evaluate(self, tiny_ckpt):
         series = sine_series("s", 24, length=300)
         split = chronological_split(series, 0.6, 0.2, 0.2)
-        report = run_protocol(tiny_ckpt, series, split, EvalSettings("standard", (4, 8), 12, 4),
+        report = run_protocol(tiny_ckpt, [(series, split)],
+                              EvalSettings("standard", (4, 8), 12, 4),
                               threads=2)
         assert report == evaluate(tiny_ckpt, series, split, [4, 8], 12, stride=4)
 

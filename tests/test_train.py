@@ -262,6 +262,18 @@ class TestFinetune:
         assert tuned.metadata["finetuned_on"] == "tgt"
         assert tuned.metadata["train_sources"] == ckpt.metadata["train_sources"]
 
+    def test_chained_finetune_keeps_earlier_targets(self):
+        ckpt = self.pretrained()
+        tuned, _ = finetune_heads(ckpt, TrainConfig(epochs=0, scope="head"),
+                                  *self.target_mixed())
+        both = [sine_series("other", 24, length=300, seed=6),
+                sine_series("tgt", 48, length=300, seed=4)]
+        again, _ = finetune_heads(tuned, TrainConfig(epochs=0, scope="head"),
+                                  mixed_from(both, "train"),
+                                  mixed_from(both, "validation", ratios=(0.5, 0.3, 0.2)))
+        # earlier names first, in order and without repeats
+        assert again.metadata["finetuned_on"] == "tgt,other"
+
 
 class TestLossCurve:
     def test_csv_format(self):
