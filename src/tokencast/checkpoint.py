@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import CheckpointFormatError, CheckpointVersionError, ConfigError, DataError
+from .errors import CheckpointFormatError, CheckpointVersionError, DataError
 from .model import (
     SCOPE_HEAD,
     SCOPE_NON_HEAD,
@@ -66,10 +66,6 @@ def to_params(ckpt: Checkpoint) -> ModelParams:
 
 
 def _encode_config_block(config: ModelConfig, metadata: dict[str, str]) -> bytes:
-    try:
-        config.validate()
-    except ConfigError as exc:
-        raise CheckpointFormatError(f"invalid config: {exc}") from exc
     lines = [f"{f.name}={format_value(getattr(config, f.name))}" for f in fields(config)]
     for key in sorted(metadata):
         value = metadata[key]
@@ -79,10 +75,10 @@ def _encode_config_block(config: ModelConfig, metadata: dict[str, str]) -> bytes
     return "\n".join(lines).encode("utf-8")
 
 
-def _decode_config_block(block: bytes) -> tuple[ModelConfig, dict[str, str]]:
+def _decode_config_block(block: str) -> tuple[ModelConfig, dict[str, str]]:
     values: dict[str, str] = {}
     metadata: dict[str, str] = {}
-    for line in block.decode("utf-8").splitlines():
+    for line in block.splitlines():
         if not line:
             continue
         key, _, value = line.partition("=")
@@ -93,7 +89,6 @@ def _decode_config_block(block: bytes) -> tuple[ModelConfig, dict[str, str]]:
     try:
         config = ModelConfig(**{f.name: parse_field(f, values[f.name])
                                 for f in fields(ModelConfig)})
-        config.validate()
     except (KeyError, ValueError) as exc:
         raise CheckpointFormatError(f"invalid config block: {exc}") from exc
     return config, metadata
@@ -162,6 +157,14 @@ class _Reader:
         self.offset += n
         return out
 
+    def text(self, n: int, what: str) -> str:
+        start = self.offset
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(
+                f"{what} at byte offset {start} is not UTF-8: {exc}") from None
+
     def unpack(self, fmt: str, what: str):
         size = struct.calcsize(fmt)
         return struct.unpack(fmt, self.take(size, what))[0]
@@ -180,13 +183,13 @@ def deserialize(data: bytes) -> Checkpoint:
             f"unsupported checkpoint version {version}, this build reads {VERSION}"
         )
     block_len = r.unpack("<Q", "config block length")
-    config, metadata = _decode_config_block(r.take(block_len, "config block"))
+    config, metadata = _decode_config_block(r.text(block_len, "config block"))
     count = r.unpack("<I", "array count")
     arrays: dict[str, np.ndarray] = {}
     file_scope: dict[str, str] = {}
     for _ in range(count):
         name_len = r.unpack("<H", "array name length")
-        name = r.take(name_len, "array name").decode("utf-8")
+        name = r.text(name_len, "array name")
         if name in arrays:
             raise CheckpointFormatError(f"duplicate array name {name!r}")
         scope_code = r.unpack("<B", "scope code")

@@ -7,8 +7,10 @@ metadata names, else by the type of its default) and formatted back by
 ``format_value``. The one table here, ``_MODEL_INI_KEYS``, names the four
 [model] keys that differ from their field (``stages``, ``width``, ``heads``,
 ``dropout``); every other key is its field name, so a field added to any of
-the dataclasses is read, validated and written back without another edit.
-The only other key is [data]'s ``split.<name>``, one dataset's ratios.
+the dataclasses is read and written back without another edit. Each
+dataclass checks its values in ``__post_init__``, so a settings object with a
+bad value cannot be built, here or anywhere else. The only other key is
+[data]'s ``split.<name>``, one dataset's ratios.
 
 Unknown sections or keys are rejected. Every command echoes the fully
 resolved configuration (defaults included, dataset paths absolute) into its
@@ -18,7 +20,7 @@ output directory so a run can be reproduced from that file alone.
 from __future__ import annotations
 
 import configparser
-from dataclasses import Field, fields, replace
+from dataclasses import Field, fields
 from pathlib import Path
 
 from .data import (
@@ -31,7 +33,7 @@ from .data import (
 )
 from .errors import ConfigError
 from .evaluate import EvalSettings
-from .model import PAPER_PRESET, ModelConfig, format_value, paper_preset, parse_field
+from .model import PAPER_PRESET, ModelConfig, format_value, parse_field
 from .train import TrainConfig
 
 # config field -> INI key, for the fields whose key is not the field name
@@ -70,12 +72,10 @@ class RunConfig:
                 raise ConfigError(
                     f"--preset paper fixes {sorted(clash)}; remove them from [model]"
                 )
-            base = paper_preset()
-        elif preset is not None:
+            return self._build("model", PAPER_PRESET, seed=seed)
+        if preset is not None:
             raise ConfigError(f"unknown preset {preset!r}")
-        else:
-            base = ModelConfig()
-        return self._build("model", base, seed=seed)
+        return self._build("model", seed=seed)
 
     def train_config(self, scope: str, seed: int | None = None) -> TrainConfig:
         """[train] for a command that trains ``scope``. The command alone picks
@@ -85,18 +85,18 @@ class RunConfig:
         if given != scope:
             raise ConfigError(f"[train] scope = {given}, but this command trains "
                               f"scope {scope}")
-        return self._build("train", TrainConfig(), seed=seed, scope=scope)
+        return self._build("train", seed=seed, scope=scope)
 
-    def _build(self, section: str, base, **overrides):
-        """``base`` with the section's keys, then the non-None overrides,
-        applied; validated."""
+    def _build(self, section: str, base: dict | None = None, **overrides):
+        """The section's dataclass built from ``base``, then the section's
+        keys, then the non-None overrides, each over the one before; the
+        dataclass refuses a bad value as it is built."""
+        cls = _SECTIONS[section]
         raw = self.sections.get(section, {})
-        values = {f.name: _parse(f, raw[key], section, key)
-                  for key, f in _ini_fields(type(base)).items() if key in raw}
-        values.update((k, v) for k, v in overrides.items() if v is not None)
-        cfg = replace(base, **values)
-        cfg.validate()
-        return cfg
+        parsed = {f.name: _parse(f, raw[key], section, key)
+                  for key, f in _ini_fields(cls).items() if key in raw}
+        given = {k: v for k, v in overrides.items() if v is not None}
+        return cls(**{**(base or {}), **parsed, **given})
 
     def _dataset_paths(self) -> dict[str, Path]:
         """name -> path for every entry of [data] datasets, in listed order.
@@ -105,7 +105,7 @@ class RunConfig:
         paths resolve against the config file's directory.
         """
         out: dict[str, Path] = {}
-        for entry in self._build("data", DataSettings()).datasets.split(";"):
+        for entry in self._build("data").datasets.split(";"):
             name, sep, path = (part.strip() for part in entry.partition("="))
             if not (name or sep or path):
                 continue
@@ -131,7 +131,7 @@ class RunConfig:
         ``split`` gives the default ratios; ``split.<name>`` overrides one
         dataset, and must name a listed one.
         """
-        settings = self._build("data", DataSettings())
+        settings = self._build("data")
         paths = self._dataset_paths()
         ratios = dict.fromkeys(paths, settings.split)
         for key, text in self.sections.get("data", {}).items():
@@ -148,10 +148,10 @@ class RunConfig:
         return out
 
     def synth_spec(self, seed: int | None = None) -> SynthSpec:
-        return self._build("synth", SynthSpec(), seed=seed)
+        return self._build("synth", seed=seed)
 
     def eval_settings(self) -> EvalSettings:
-        return self._build("eval", EvalSettings())
+        return self._build("eval")
 
 
 def _parse(f: Field, text: str, section: str, key: str):
@@ -170,6 +170,8 @@ def parse_run_config(path) -> RunConfig:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     sections: dict[str, dict[str, str]] = {}

@@ -66,43 +66,45 @@ def load_csv_dataset(path, name: str) -> MultivariateSeries:
     non-finite cells raise DataError naming the offending row/column.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot open dataset {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        skip_first = bool(header) and header[0].strip().lower() == "date"
-        col_names = header[1:] if skip_first else header
-        if not col_names:
-            raise DataError(f"{path}: no numeric columns after the date column")
-        rows: list[list[float]] = []
-        for row_idx, row in enumerate(reader, start=2):
-            cells = row[1:] if skip_first else row
-            if len(cells) != len(col_names):
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file, expected a header row") from None
+    skip_first = bool(header) and header[0].strip().lower() == "date"
+    col_names = header[1:] if skip_first else header
+    if not col_names:
+        raise DataError(f"{path}: no numeric columns after the date column")
+    rows: list[list[float]] = []
+    for row_idx, row in enumerate(reader, start=2):
+        cells = row[1:] if skip_first else row
+        if len(cells) != len(col_names):
+            raise DataError(
+                f"{path}: ragged row {row_idx}: expected {len(col_names)} "
+                f"value cells, got {len(cells)}"
+            )
+        parsed = []
+        for col_idx, cell in enumerate(cells):
+            try:
+                v = float(cell)
+            except ValueError:
                 raise DataError(
-                    f"{path}: ragged row {row_idx}: expected {len(col_names)} "
-                    f"value cells, got {len(cells)}"
+                    f"{path}: row {row_idx}, column '{col_names[col_idx]}': "
+                    f"cannot parse {cell!r} as a number"
+                ) from None
+            if not math.isfinite(v):
+                raise DataError(
+                    f"{path}: row {row_idx}, column '{col_names[col_idx]}': "
+                    f"non-finite value {cell!r}"
                 )
-            parsed = []
-            for col_idx, cell in enumerate(cells):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {row_idx}, column '{col_names[col_idx]}': "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
-                if not math.isfinite(v):
-                    raise DataError(
-                        f"{path}: row {row_idx}, column '{col_names[col_idx]}': "
-                        f"non-finite value {cell!r}"
-                    )
-                parsed.append(v)
-            rows.append(parsed)
+            parsed.append(v)
+        rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return MultivariateSeries(name=name, values=np.asarray(rows, dtype=np.float64).T)
@@ -127,7 +129,7 @@ class DataSettings:
     datasets: str = ""
     split: tuple[float, ...] = (0.7, 0.1, 0.2)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_ratios(self.split)
 
 
@@ -261,7 +263,7 @@ class SynthSpec:
     components: tuple = field(default=(), metadata={"parse": parse_components})
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("length", "channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -282,7 +284,6 @@ class SynthSpec:
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
 def synth_generate(spec: SynthSpec) -> MultivariateSeries:
     """Sum the spec's components per channel; only noise varies by channel."""
-    spec.validate()
     t = np.arange(spec.length, dtype=np.float64)
     deterministic = np.zeros(spec.length)
     for comp in spec.components:

@@ -23,7 +23,7 @@ from .checkpoint import Checkpoint, checkpoint_hash, to_params
 from .data import DatasetSplit, MultivariateSeries, build_mixed_dataset
 from .errors import ConfigError, ProtocolError, ShapeError
 from .infer import _decode_batch
-from .train import TrainConfig, finetune_heads
+from .train import TrainConfig, check_windows, finetune_heads
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,15 @@ class EvalSettings:
     stride: int = 1
     fraction: float = 0.0  # few-shot: most recent share of the train range
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.protocol not in ("standard", "zero-shot", "few-shot"):
             raise ConfigError(f"protocol {self.protocol!r} unknown")
         if not self.horizons:
             raise ConfigError("need at least one horizon")
         if min(self.horizons) < 1:
             raise ConfigError(f"horizons must be >= 1, got {sorted(self.horizons)}")
+        if len(set(self.horizons)) != len(self.horizons):
+            raise ConfigError(f"horizons must not repeat, got {self.horizons}")
         for name in ("lookback", "stride"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -114,8 +116,8 @@ def _grouped_decoder(forecast_fn):
 
 def _check_eval_settings(series: MultivariateSeries, split: DatasetSplit,
                          settings: EvalSettings, threads: int) -> None:
-    """Reject evaluation settings before any decoding or fine-tuning."""
-    settings.validate()
+    """Reject a thread count or a test range before any decoding or
+    fine-tuning."""
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     lo, hi = split.test
@@ -149,10 +151,12 @@ def evaluate(
     its forecast at H must be the first H points of its forecast at any longer
     horizon, as it is for auto-regressive decoding and the naive baselines.
     Results are deterministic and row-independent, so ``threads`` only splits
-    work: reports are bit-identical at any thread count.
+    work: reports are bit-identical at any thread count. A horizon listed
+    twice is scored twice; ``EvalSettings`` refuses one, so ``run_protocol``
+    never passes it.
     """
     _check_eval_settings(series, split, EvalSettings(
-        horizons=tuple(horizons), lookback=lookback_len, stride=stride), threads)
+        horizons=tuple(set(horizons)), lookback=lookback_len, stride=stride), threads)
     if forecast_fn is not None:
         decode = _grouped_decoder(forecast_fn)
     elif ckpt is None:
@@ -220,21 +224,30 @@ def run_protocol(
     """Score ``ckpt`` on every ``(series, split)`` under ``settings.protocol``.
 
     Every dataset is checked before any tuning or scoring; zero-shot refuses a
-    dataset the checkpoint was pretrained or fine-tuned on. Few-shot tunes the
-    heads of ``ckpt`` for each dataset with ``train_config`` on the most recent
-    ``settings.fraction`` of its train range. The full test range is scored in
-    every protocol. Rows follow the datasets, and the fingerprint is the last
-    scored checkpoint's.
+    dataset the checkpoint was pretrained or fine-tuned on, and few-shot one
+    whose reduced train range or validation range holds no window. Few-shot
+    tunes the heads of ``ckpt`` for each dataset with ``train_config`` on the
+    most recent ``settings.fraction`` of its train range. The full test range
+    is scored in every protocol. Rows follow the datasets, and the fingerprint
+    is the last scored checkpoint's.
     """
     if not datasets:
         raise ConfigError("need at least one dataset to evaluate")
     seen = {name for key in ("train_sources", "finetuned_on")
             for name in ckpt.metadata.get(key, "").split(",") if name}
+    tuning_sets = []
     for series, split in datasets:
         _check_eval_settings(series, split, settings, threads)
         if settings.protocol == "zero-shot" and series.name in seen:
             raise ProtocolError(
                 f"zero-shot violation: the checkpoint was trained or tuned on {series.name}")
+        if settings.protocol == "few-shot":
+            a, b = split.train
+            keep = int((b - a) * settings.fraction)
+            reduced = [(series, replace(split, train=(b - keep, b)))]
+            tuning_sets.append((build_mixed_dataset(reduced, "train"),
+                                build_mixed_dataset(reduced, "validation")))
+            check_windows(ckpt.config, *tuning_sets[-1])
     if settings.lookback < ckpt.config.token_len:
         raise ConfigError(f"lookback {settings.lookback} is shorter than the "
                           f"checkpoint's token_len {ckpt.config.token_len}")
@@ -242,15 +255,10 @@ def run_protocol(
         raise ConfigError("few-shot protocol needs a TrainConfig to tune the heads")
 
     rows: list[EvalRow] = []
-    for series, split in datasets:
+    for i, (series, split) in enumerate(datasets):
         scored = ckpt
-        if settings.protocol == "few-shot":
-            a, b = split.train
-            keep = int((b - a) * settings.fraction)
-            reduced = [(series, replace(split, train=(b - keep, b)))]
-            scored, _ = finetune_heads(ckpt, train_config,
-                                       build_mixed_dataset(reduced, "train"),
-                                       build_mixed_dataset(reduced, "validation"))
+        if tuning_sets:
+            scored, _ = finetune_heads(ckpt, train_config, *tuning_sets[i])
         report = evaluate(scored, series, split, list(settings.horizons),
                           settings.lookback, stride=settings.stride, threads=threads)
         rows += report.rows

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import Field, dataclass, field, replace
+from dataclasses import Field, dataclass, field
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class ModelConfig:
     dropout_rate: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("num_stages", "token_len", "max_tokens", "model_width",
                      "layers_per_stage", "attention_heads", "feedforward_width"):
             if getattr(self, name) < 1:
@@ -105,7 +105,7 @@ PAPER_PRESET = {"num_stages": 4, "pool_kernels": (8, 4, 2, 1), "token_len": 48,
 def paper_preset(**overrides) -> ModelConfig:
     """The reference configuration, ``PAPER_PRESET``. Width and head count
     stay whatever the caller sets."""
-    return replace(ModelConfig(**PAPER_PRESET), **overrides)
+    return ModelConfig(**{**PAPER_PRESET, **overrides})
 
 
 @dataclass
@@ -184,7 +184,6 @@ def init_model(config: ModelConfig) -> ModelParams:
     being the first dimension), biases start at zero, layer-norm gains at
     one, position tables at normal(0, 0.02).
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     arrays: dict[str, Tensor] = {}
     for name, shape, _ in parameter_layout(config):

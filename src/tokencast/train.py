@@ -39,7 +39,7 @@ class TrainConfig:
     seed: int = 0
     scope: str = "all"  # "all" or "head"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, low in (("epochs", 0), ("batch_size", 1), ("stride", 1),
                           ("patience", 1), ("seed", 0)):
             if getattr(self, name) < low:
@@ -113,6 +113,18 @@ def _sources_of(mixed: MixedDataset) -> list[str]:
     return list(dict.fromkeys(seg.source for seg in mixed.segments))
 
 
+def check_windows(config: ModelConfig, train_mixed: MixedDataset,
+                  val_mixed: MixedDataset) -> None:
+    """Require a training and a validation window: a segment of each that
+    spans ``max_tokens`` lookback tokens plus the future token. Start 0 of
+    every segment is sampled at any stride, so this holds without building
+    the windows."""
+    span = (config.max_tokens + 1) * config.token_len
+    for role, mixed in (("training", train_mixed), ("validation", val_mixed)):
+        if not any(len(seg.values) >= span for seg in mixed.segments):
+            raise ConfigError(f"no {role} windows: need segments of at least {span} points")
+
+
 def _fit(
     params: ModelParams,
     train_config: TrainConfig,
@@ -129,20 +141,9 @@ def _fit(
     cfg = params.config
     lookback_len = cfg.max_tokens * cfg.token_len
     horizon_len = cfg.token_len
-
-    # start 0 of every segment is always sampled, so a training window exists
-    # iff some segment spans one; checked without building an epoch of windows
-    span = lookback_len + horizon_len
-    if not any(len(seg.values) >= span for seg in train_mixed.segments):
-        raise ConfigError(
-            f"no training windows: need segments of at least {span} points"
-        )
+    check_windows(cfg, train_mixed, val_mixed)
     val_windows = sample_windows(val_mixed, lookback_len, horizon_len,
                                  stride=train_config.stride, seed=0)
-    if not len(val_windows):
-        raise ConfigError(
-            f"no validation windows: need segments of at least {span} points"
-        )
 
     trainable = params.trainable(train_config.scope)
     # frozen arrays drop out of the tape entirely, which keeps head-only
@@ -216,10 +217,8 @@ def pretrain(
 
     Returns the best-validation checkpoint plus the per-epoch loss curve.
     """
-    train_config.validate()
     if train_config.scope != "all":
         raise ConfigError("pretraining updates all parameters; scope must be 'all'")
-    model_config.validate()
     params = init_model(model_config)
     history, metadata = _fit(params, train_config, train_mixed, val_mixed)
     metadata["train_sources"] = ",".join(_sources_of(train_mixed))
@@ -239,7 +238,6 @@ def finetune_heads(
     ``finetuned_on`` metadata keeps the source checkpoint's names, in order,
     and appends this run's sources that it lacks.
     """
-    train_config.validate()
     params = to_params(ckpt)
     history, fit_metadata = _fit(params, train_config, train_mixed, val_mixed)
     earlier = [s for s in ckpt.metadata.get("finetuned_on", "").split(",") if s]

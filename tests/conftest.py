@@ -59,7 +59,7 @@ def check_gradient(build_loss, x0: np.ndarray, rtol: float = 1e-4, step: float =
 def serialize_with_config(ckpt, **changes) -> bytes:
     """``ckpt`` serialized, then ``changes`` written into its config block.
 
-    ``serialize`` refuses a config that fails validation, so a file that
+    A ``ModelConfig`` refuses a bad value when it is built, so a file that
     carries one is made by editing the block in the bytes.
     """
     data = serialize(ckpt)

@@ -1,3 +1,4 @@
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from tokencast import cli
 from tokencast.cli import main
 from tokencast.checkpoint import from_params, load_checkpoint
-from tokencast.config import _ini_fields, parse_run_config
+from tokencast.config import _SECTIONS, _ini_fields, parse_run_config
 from tokencast.data import (
     DataSettings,
     NoiseComponent,
@@ -155,7 +156,32 @@ class TestComponentParsing:
             parse_components("sine(frequency=3)")
 
 
+# per section, a valid instance of its dataclass and field values it refuses
+REFUSED = {
+    "model": (ModelConfig(), {"token_len": 0, "pool_kernels": (5, 1), "dropout_rate": 1.0,
+                              "attention_heads": 3, "seed": -1}),
+    "train": (TrainConfig(), {"batch_size": 0, "learning_rate": float("nan"),
+                              "beta2": 1.0, "scope": "bogus"}),
+    "data": (DataSettings(), {"split": (0.5, 0.5)}),
+    "synth": (SynthSpec(length=8, components=(NoiseComponent(1.0),)),
+              {"length": 0, "components": (), "channels": -1}),
+    "eval": (EvalSettings(), {"horizons": (96, 96), "lookback": 0, "protocol": "bogus"}),
+}
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("section", list(_SECTIONS))
+    def test_bad_value_refused_when_built(self, section):
+        cls = _SECTIONS[section]
+        valid, refused = REFUSED[section]
+        assert type(valid) is cls
+        given = {f.name: getattr(valid, f.name) for f in fields(cls)}
+        for name, value in refused.items():
+            with pytest.raises(ConfigError):
+                cls(**{**given, name: value})
+            with pytest.raises(ConfigError):
+                replace(valid, **{name: value})
+
     def test_unknown_section(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("[galaxy]\nbrain = 1\n")
@@ -612,6 +638,38 @@ class TestEvaluateCommand:
         assert calls == []
         assert not out.exists()
 
+    def test_few_shot_window_check_before_tuning(self, tmp_path, synth_csv, pretrained,
+                                                 monkeypatch, capsys):
+        # other's reduced train range (half of 10 points) holds no 16-point
+        # window; that is found before mix is tuned or scored
+        import tokencast.evaluate as ev
+
+        calls = []
+        monkeypatch.setattr(ev, "finetune_heads", lambda *args: calls.append(args))
+        monkeypatch.setattr(ev, "evaluate", lambda *args, **kwargs: calls.append(args))
+        other_csv = self.synth(tmp_path, "other", 200)
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(
+            f"[data]\ndatasets = mix={synth_csv.name};other={other_csv.name}\n"
+            "split.other = 0.05,0.1,0.85\n" + FEW_SHOT_EVAL + TRAIN_SECTION
+        )
+        capsys.readouterr()
+        out = tmp_path / "fs"
+        assert main(["evaluate", str(pretrained), str(cfg), str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: no training windows: need segments of at least 16 points\n")
+        assert calls == []
+        assert not out.exists()
+
+    def test_repeated_horizon_exits_2(self, tmp_path, synth_csv, pretrained, capsys):
+        cfg = self.eval_cfg(tmp_path, synth_csv)
+        cfg.write_text(cfg.read_text().replace("horizons = 4,8", "horizons = 8,8,4"))
+        out = tmp_path / "ev"
+        assert main(["evaluate", str(pretrained), str(cfg), str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: horizons must not repeat, got (8, 8, 4)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("protocol", ["standard", "few-shot"])
     def test_lookback_below_token_exits_2_before_work(
             self, tmp_path, synth_csv, pretrained, monkeypatch, capsys, protocol):
@@ -693,6 +751,36 @@ class TestEvaluateCommand:
         assert main(["evaluate", str(pretrained), str(cfg), str(tmp_path / "s")]) == 3
         assert "data error: metrics shapes disagree" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+
+class TestNonUtf8Input:
+    # an input that is not UTF-8 exits with its reader's code, naming the
+    # input, and writes nothing
+    @pytest.mark.parametrize("target,marker,code,message", [
+        ("csv", b"ch1", 3, "data error: {csv}: not UTF-8 text: "),
+        ("cfg", b"[train]", 2, "config error: config {cfg} is not UTF-8 text: "),
+        ("ckpt", b"train_sources=mix", 3,
+         "data error: config block at byte offset 16 is not UTF-8: "),
+        ("ckpt", b"stage0.head.weight", 3, "data error: array name at byte offset "),
+    ], ids=["csv", "config", "config-block", "array-name"])
+    def test_exits_with_documented_code(self, tmp_path, synth_csv, pretrained, capsys,
+                                        target, marker, code, message):
+        paths = {"cfg": write_train_cfg(tmp_path, synth_csv),
+                 "ckpt": tmp_path / "bad.ckpt", "csv": tmp_path / "bad.csv"}
+        paths["ckpt"].write_bytes(pretrained.read_bytes())
+        paths["csv"].write_bytes(synth_csv.read_bytes())
+        data = paths[target].read_bytes()
+        assert data.count(marker) == 1
+        paths[target].write_bytes(data.replace(marker, b"\xff" + marker[1:]))
+        out = tmp_path / "out"
+        argv = (["pretrain", str(paths["cfg"]), str(out)] if target == "cfg" else
+                ["forecast", str(paths["ckpt"]), str(paths["csv"]), "4", str(out)])
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message.format(**paths))
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestInspectCommand:

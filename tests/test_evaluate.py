@@ -362,12 +362,16 @@ class TestFewShot:
 class TestEvalSettings:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigError, match="protocol 'bogus' unknown"):
-            EvalSettings(protocol="bogus").validate()
+            EvalSettings(protocol="bogus")
 
     def test_fraction_read_by_few_shot_only(self):
-        EvalSettings(protocol="zero-shot", fraction=-1.0).validate()
+        EvalSettings(protocol="zero-shot", fraction=-1.0)
         with pytest.raises(ConfigError, match="fraction must lie in"):
-            EvalSettings(protocol="few-shot").validate()
+            EvalSettings(protocol="few-shot")
+
+    def test_repeated_horizon_rejected(self):
+        with pytest.raises(ConfigError, match=r"horizons must not repeat, got \(8, 8, 4\)"):
+            EvalSettings(horizons=(8, 8, 4))
 
     def test_no_datasets_rejected(self, tiny_ckpt):
         with pytest.raises(ConfigError, match="at least one dataset"):

@@ -30,15 +30,15 @@ def tiny_params():
 class TestConfig:
     def test_kernel_must_divide(self):
         with pytest.raises(ConfigError):
-            ModelConfig(num_stages=1, pool_kernels=(5,), token_len=12).validate()
+            ModelConfig(num_stages=1, pool_kernels=(5,), token_len=12)
 
     def test_kernel_count_must_match_stages(self):
         with pytest.raises(ConfigError):
-            ModelConfig(num_stages=3, pool_kernels=(4, 1)).validate()
+            ModelConfig(num_stages=3, pool_kernels=(4, 1))
 
     def test_width_divisible_by_heads(self):
         with pytest.raises(ConfigError):
-            ModelConfig(model_width=30, attention_heads=4).validate()
+            ModelConfig(model_width=30, attention_heads=4)
 
     def test_paper_preset_shape(self):
         cfg = paper_preset(model_width=256, feedforward_width=512, attention_heads=8)
@@ -46,7 +46,6 @@ class TestConfig:
         assert cfg.pool_kernels == (8, 4, 2, 1)
         assert cfg.token_len == 48 and cfg.max_tokens == 7
         assert cfg.layers_per_stage == 3
-        cfg.validate()
 
 
 class TestInit:
