@@ -398,8 +398,6 @@ def _interp_matrix(m: int, target_len: int) -> np.ndarray:
     w = np.zeros((m, target_len))
     if m == 1:
         w[0, :] = 1.0
-    elif target_len == 1:
-        w[0, 0] = 1.0
     else:
         pos = np.arange(target_len) * (m - 1) / (target_len - 1)
         lo = np.minimum(pos.astype(np.intp), m - 2)

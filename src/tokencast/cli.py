@@ -6,15 +6,17 @@ whose shapes disagree, ShapeError), 4 numeric abort, 5 protocol violation.
 Runs are reproducible: identical config, seed and inputs give identical
 output bytes at any --threads count.
 
-Each command checks its output path before any work (a bad path exits 2) and
-writes every file through ``_write`` once the work has succeeded, so a rejected
-or failed run leaves nothing behind; a failed write exits 3 with no partial file.
+Each ``cmd_*`` only computes: it returns its outputs (a run directory's files
+by name, one CSV's text, or None) and the line to print. ``main`` checks the
+output path before the command runs (a bad path exits 2) and hands the outputs
+to ``_publish`` after it returns, so a failed run leaves nothing behind and a
+new run directory appears whole; a failed publish exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import shutil
 import sys
 import tempfile
 from dataclasses import fields
@@ -50,7 +52,7 @@ EXIT_NUMERIC = 4
 EXIT_PROTOCOL = 5
 
 
-def _check_output(path: Path, run_dir: bool, force: bool = False) -> None:
+def _check_output(path: Path, run_dir: bool, force: bool) -> None:
     """Checked before any work. A run directory must be absent, or a directory
     that is empty unless --force is given; an output file must not be a
     directory; and the nearest existing ancestor must be a directory."""
@@ -68,22 +70,33 @@ def _check_output(path: Path, run_dir: bool, force: bool = False) -> None:
             raise ConfigError(f"output path {path}: {ancestor} is not a directory")
 
 
-def _write(path: Path, body: str | bytes) -> None:
-    """Write ``body`` through a fresh temporary file in the same directory and
-    rename it into place, so ``path`` never holds part of ``body`` and no
-    other file is touched."""
+def _publish(path: Path, outputs: dict[str, str | bytes] | str, force: bool) -> None:
+    """Stage ``outputs`` in a fresh directory, then rename them to ``path``;
+    a file or a new run directory arrives whole. An existing run directory,
+    maybe the caller's working directory, is never replaced: it is refused if
+    it filled during the work (unless --force), else each file is renamed in
+    once all are written. The staging directory is always removed."""
+    into = isinstance(outputs, dict) and path.is_dir()
+    if into and not force and any(path.iterdir()):
+        raise DataError(f"output directory {path} filled during the run; nothing written")
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    stage = Path(tempfile.mkdtemp(dir=path if into else path.parent,
+                                  prefix=".tokencast-", suffix=".tmp"))
     try:
-        with open(fd, "wb") as fh:
-            fh.write(body.encode("utf-8") if isinstance(body, str) else body)
-        # mkstemp makes the file 0600; give it the mode a plain open would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        staged = stage / "out"
+        files = {staged: outputs}
+        if isinstance(outputs, dict):
+            staged.mkdir()  # mkdir's mode, not mkdtemp's 0700
+            files = {staged / name: body for name, body in outputs.items()}
+        for file, body in files.items():
+            file.write_bytes(body.encode("utf-8") if isinstance(body, str) else body)
+        if into:
+            for name in outputs:
+                (staged / name).replace(path / name)
+        else:
+            staged.replace(path)
     finally:
-        Path(tmp).unlink(missing_ok=True)
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _mixed_pair(datasets):
@@ -91,94 +104,74 @@ def _mixed_pair(datasets):
             build_mixed_dataset(datasets, "validation"))
 
 
-def cmd_pretrain(args) -> int:
-    out_dir = Path(args.out_dir)
-    _check_output(out_dir, run_dir=True, force=args.force)
+def cmd_pretrain(args):
     run = parse_run_config(args.config)
     model_cfg = run.model_config(preset=args.preset, seed=args.seed)
     train_cfg = run.train_config("all", seed=args.seed)
     train_mixed, val_mixed = _mixed_pair(run.load_datasets())
     ckpt, history = pretrain(model_cfg, train_cfg, train_mixed, val_mixed)
-    _write(out_dir / "model.ckpt", ckpt_io.serialize(ckpt))
-    _write(out_dir / "loss.csv", loss_curve_to_csv(history))
-    _write(out_dir / "resolved.cfg", render_resolved(
-        model=model_cfg, train=train_cfg, data=run.resolved_data()))
     best = ckpt.metadata.get("best_val_mse", "nan")
-    print(f"pretrained {len(history)} epochs, best val mse {best}")
-    return EXIT_OK
+    return {"model.ckpt": ckpt_io.serialize(ckpt),
+            "loss.csv": loss_curve_to_csv(history),
+            "resolved.cfg": render_resolved(model=model_cfg, train=train_cfg,
+                                            data=run.resolved_data()),
+            }, f"pretrained {len(history)} epochs, best val mse {best}"
 
 
-def cmd_finetune(args) -> int:
-    out_dir = Path(args.out_dir)
-    _check_output(out_dir, run_dir=True, force=args.force)
+def cmd_finetune(args):
     run = parse_run_config(args.config)
     train_cfg = run.train_config("all" if args.full_tune else "head", seed=args.seed)
     source = ckpt_io.load_checkpoint(args.checkpoint)
     train_mixed, val_mixed = _mixed_pair(run.load_datasets())
     tuned, history = finetune_heads(source, train_cfg, train_mixed, val_mixed)
-    _write(out_dir / "model.ckpt", ckpt_io.serialize(tuned))
-    _write(out_dir / "loss.csv", loss_curve_to_csv(history))
-    _write(out_dir / "resolved.cfg", render_resolved(
-        model=tuned.config, train=train_cfg, data=run.resolved_data()))
-    print(f"finetuned ({train_cfg.scope} scope), {len(history)} epochs")
-    return EXIT_OK
+    return {"model.ckpt": ckpt_io.serialize(tuned),
+            "loss.csv": loss_curve_to_csv(history),
+            "resolved.cfg": render_resolved(model=tuned.config, train=train_cfg,
+                                            data=run.resolved_data()),
+            }, f"finetuned ({train_cfg.scope} scope), {len(history)} epochs"
 
 
-def cmd_forecast(args) -> int:
-    out_csv = Path(args.out_csv)
-    _check_output(out_csv, run_dir=False)
+def cmd_forecast(args):
     if args.horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {args.horizon}")
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     series = load_csv_dataset(args.input_csv, Path(args.input_csv).stem)
     params = ckpt_io.to_params(ckpt)
     result = ar_forecast(params, ForecastRequest(series.values, args.horizon))
-    _write(out_csv, series_to_csv(MultivariateSeries(series.name, result.predictions)))
-    print(f"decode_steps={result.decode_steps}", file=sys.stderr)
-    return EXIT_OK
+    return (series_to_csv(MultivariateSeries(series.name, result.predictions)),
+            f"decode_steps={result.decode_steps}")
 
 
-def cmd_evaluate(args) -> int:
-    out_dir = Path(args.out_dir)
-    _check_output(out_dir, run_dir=True, force=args.force)
+def cmd_evaluate(args):
     run = parse_run_config(args.config)
     settings = run.eval_settings()
     train_cfg = (run.train_config("head", seed=args.seed)
                  if settings.protocol == "few-shot" else None)
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     report = run_protocol(ckpt, run.load_datasets(), settings, train_cfg, args.threads)
-    _write(out_dir / "report.csv", report_to_csv(report))
-    _write(out_dir / "resolved.cfg", render_resolved(
-        train=train_cfg, data=run.resolved_data(), evaluation=settings))
-    print(format_table(report))
-    return EXIT_OK
+    return {"report.csv": report_to_csv(report),
+            "resolved.cfg": render_resolved(train=train_cfg, data=run.resolved_data(),
+                                            evaluation=settings),
+            }, format_table(report)
 
 
-def cmd_synth(args) -> int:
-    out_csv = Path(args.out_csv)
-    _check_output(out_csv, run_dir=False)
-    run = parse_run_config(args.config)
-    series = synth_generate(run.synth_spec(seed=args.seed))
-    _write(out_csv, series_to_csv(series))
-    print(f"wrote {series.num_channels}x{series.length} series to {args.out_csv}")
-    return EXIT_OK
+def cmd_synth(args):
+    series = synth_generate(parse_run_config(args.config).synth_spec(seed=args.seed))
+    return (series_to_csv(series),
+            f"wrote {series.num_channels}x{series.length} series to {args.out_csv}")
 
 
-def cmd_inspect(args) -> int:
+def cmd_inspect(args):
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     params = ckpt_io.to_params(ckpt)
     total = count_parameters(params, "all")
     head = count_parameters(params, "head")
-    print(f"version = {ckpt_io.VERSION}")
-    for f in fields(ckpt.config):
-        print(f"{f.name} = {getattr(ckpt.config, f.name)}")
-    for key, value in sorted(ckpt.metadata.items()):
-        print(f"meta.{key} = {value}")
-    print(f"params.total = {total}")
-    print(f"params.head = {head}")
-    print(f"params.non_head = {total - head}")
-    print(f"params.head_fraction = {head / total:.6f}")
-    return EXIT_OK
+    lines = [f"version = {ckpt_io.VERSION}"]
+    lines += [f"{f.name} = {getattr(ckpt.config, f.name)}" for f in fields(ckpt.config)]
+    lines += [f"meta.{key} = {value}" for key, value in sorted(ckpt.metadata.items())]
+    return None, "\n".join(lines + [
+        f"params.total = {total}", f"params.head = {head}",
+        f"params.non_head = {total - head}", f"params.head_fraction = {head / total:.6f}"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,10 +229,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out_dir", getattr(args, "out_csv", None))
     try:
         if args.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {args.threads}")
-        return args.fn(args)
+        if out is not None:
+            _check_output(Path(out), hasattr(args, "out_dir"), args.force)
+        outputs, line = args.fn(args)
+        if out is not None:
+            _publish(Path(out), outputs, args.force)
+        print(line, file=sys.stderr if args.command == "forecast" else sys.stdout)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -59,9 +59,6 @@ class RunConfig:
         self.sections = sections
         self.base_dir = base_dir
 
-    def get(self, section: str, key: str, default: str | None = None) -> str | None:
-        return self.sections.get(section, {}).get(key, default)
-
     # -- typed section views -------------------------------------------------
 
     def model_config(self, preset: str | None = None, seed: int | None = None) -> ModelConfig:
@@ -81,7 +78,7 @@ class RunConfig:
         """[train] for a command that trains ``scope``. The command alone picks
         the scope; a [train] scope key, as resolved.cfg files carry, must name
         that same scope."""
-        given = self.get("train", "scope", scope)
+        given = self.sections.get("train", {}).get("scope", scope)
         if given != scope:
             raise ConfigError(f"[train] scope = {given}, but this command trains "
                               f"scope {scope}")
@@ -101,8 +98,9 @@ class RunConfig:
     def _dataset_paths(self) -> dict[str, Path]:
         """name -> path for every entry of [data] datasets, in listed order.
 
-        Entries are ``name=path`` separated by ``;``, each name once; relative
-        paths resolve against the config file's directory.
+        Entries are ``name=path`` separated by ``;``, each name once and free of
+        ``,`` and line breaks, which checkpoint metadata uses to join names;
+        relative paths resolve against the config file's directory.
         """
         out: dict[str, Path] = {}
         for entry in self._build("data").datasets.split(";"):
@@ -113,6 +111,8 @@ class RunConfig:
                 raise ConfigError(f"[data] datasets entry {entry.strip()!r} is not name=path")
             if name in out:
                 raise ConfigError(f"[data] datasets lists {name!r} twice")
+            if "," in name or name.splitlines() != [name]:
+                raise ConfigError(f"[data] datasets name {name!r} holds ',' or a line break")
             out[name] = self.base_dir / path
         if not out:
             raise ConfigError("[data] datasets is required (name=path;name=path)")

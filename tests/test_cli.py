@@ -1,3 +1,4 @@
+import os
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -258,6 +259,21 @@ class TestPretrainCommand:
         assert main(["pretrain", str(cfg), str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "config error: [data] datasets lists 'mix' twice\n"
 
+    # checkpoint metadata joins dataset names with ',' and keeps one per line
+    @pytest.mark.parametrize("names,name", [
+        ("x,y", "x,y"), ("x\n  y", "x\ny"),
+    ], ids=["comma", "line-break"])
+    def test_dataset_name_breaking_metadata_exits_2(self, tmp_path, synth_csv, capsys,
+                                                     monkeypatch, names, name):
+        cfg = write_train_cfg(tmp_path, synth_csv)
+        cfg.write_text(cfg.read_text().replace("datasets = mix=", f"datasets = {names}="))
+        monkeypatch.setattr("tokencast.config.load_csv_dataset", None)  # no CSV loads
+        out = tmp_path / "out"
+        assert main(["pretrain", str(cfg), str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: [data] datasets name {name!r} holds ',' or a line break\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting", [
         "beta1 = 1.0", "beta1 = -0.1", "beta2 = 1.5", "adam_eps = 0",
         "adam_eps = -1e-8", "adam_eps = inf", "learning_rate = nan", "learning_rate = inf",
@@ -464,6 +480,72 @@ class TestRejectedRun:
         # and the output gets the mode a plain write gives
         (tmp_path / "plain").write_bytes(b"")
         assert (user.parent / user.stem).stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+    # a run directory that fills during the work is refused before any file
+    # of the run is moved in, so no checkpoint appears without its loss curve
+    def test_run_dir_filled_during_work_exits_3(self, tmp_path, synth_csv, capsys,
+                                                monkeypatch):
+        out = tmp_path / "partial"
+        real = cli.loss_curve_to_csv
+
+        def plant_then_render(history):
+            (out / "loss.csv").mkdir(parents=True)
+            return real(history)
+
+        monkeypatch.setattr(cli, "loss_curve_to_csv", plant_then_render)
+        cfg = write_train_cfg(tmp_path, synth_csv)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(["pretrain", str(cfg), str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(out) in err
+        assert sorted(tmp_path.rglob("*")) == sorted(before + [out, out / "loss.csv"])
+
+    # with --force, an existing directory gets each file by its own rename once
+    # all are written; a rename that fails keeps the files moved before it
+    def test_forced_publish_stops_at_failed_rename(self, tmp_path, synth_csv, capsys):
+        out = tmp_path / "busy"
+        (out / "loss.csv").mkdir(parents=True)
+        cfg = write_train_cfg(tmp_path, synth_csv)
+        capsys.readouterr()
+        assert main(["--force", "pretrain", str(cfg), str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == ["loss.csv", "model.ckpt"]
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    # an existing directory is never replaced, since it may be the caller's
+    # working directory; it keeps its inode and receives the run's files
+    @pytest.mark.parametrize("inside", [True, False], ids=["dot-inside", "path-outside"])
+    def test_existing_empty_dir_keeps_inode(self, tmp_path, synth_csv, monkeypatch, inside):
+        cfg = write_train_cfg(tmp_path, synth_csv)
+        out = tmp_path / "here"
+        out.mkdir()
+        inode = out.stat().st_ino
+        if inside:
+            monkeypatch.chdir(out)
+        assert main(["pretrain", str(cfg), "." if inside else str(out)]) == 0
+        assert out.stat().st_ino == inode
+        assert sorted(p.name for p in out.iterdir()) == ["loss.csv", "model.ckpt",
+                                                        "resolved.cfg"]
+
+    # a new run directory and its files get the modes a plain mkdir and write
+    # give, not the 0700 of a private staging directory
+    def test_new_run_dir_has_mkdir_mode(self, tmp_path, synth_csv):
+        cfg = write_train_cfg(tmp_path, synth_csv)
+        umask = os.umask(0o027)
+        try:
+            assert main(["pretrain", str(cfg), str(tmp_path / "out")]) == 0
+            (tmp_path / "plain").mkdir()
+            (tmp_path / "plain.txt").write_bytes(b"")
+        finally:
+            os.umask(umask)
+        mode = (tmp_path / "plain").stat().st_mode
+        assert mode & 0o777 == 0o750
+        assert (tmp_path / "out").stat().st_mode == mode
+        for file in (tmp_path / "out").iterdir():
+            assert file.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
 
 
 def output_head(command, tmp_path, synth_csv, pretrained):
@@ -781,6 +863,33 @@ class TestNonUtf8Input:
         assert err.startswith(message.format(**paths))
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+class TestCliSurface:
+    # main reads each output path by its argparse dest, so the positional names
+    # are part of the interface
+    @pytest.mark.parametrize("command,usage,required", [
+        ("pretrain", "[-h] config out_dir", "config, out_dir"),
+        ("finetune", "[-h] [--full-tune] checkpoint config out_dir",
+         "checkpoint, config, out_dir"),
+        ("forecast", "[-h] checkpoint input_csv horizon out_csv",
+         "checkpoint, input_csv, horizon, out_csv"),
+        ("evaluate", "[-h] checkpoint config out_dir", "checkpoint, config, out_dir"),
+        ("synth", "[-h] config out_csv", "config, out_csv"),
+        ("inspect", "[-h] checkpoint", "checkpoint"),
+    ])
+    def test_usage_and_missing_arguments(self, capsys, monkeypatch, command, usage,
+                                         required):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"usage: tokencast {command} {usage}"
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"tokencast {command}: error: the following arguments are required: {required}")
 
 
 class TestInspectCommand:
