@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Commands: pretrain, finetune, forecast, evaluate, synth, inspect.
-Exit codes: 0 success, 2 config error, 3 data error (including operands
-whose shapes disagree, ShapeError), 4 numeric abort, 5 protocol violation.
-Runs are reproducible: identical config, seed and inputs give identical
-output bytes at any --threads count.
+Exit codes: 0 on success. A ``TokencastError`` exits with the code its family
+carries, after one ``<label>: <message>`` line on stderr (the ``errors``
+module owns the mapping), and an ``OSError`` is reported as a data error (3).
+Runs are reproducible: identical config, seed and inputs give identical output
+bytes at any --threads count.
 
 Each ``cmd_*`` only computes: it returns its outputs (a run directory's files
 by name, one CSV's text, or None) and the line to print. ``main`` checks the
@@ -31,31 +32,17 @@ from .data import (
     series_to_csv,
     synth_generate,
 )
-from .errors import (
-    CheckpointFormatError,
-    ConfigError,
-    DataError,
-    InputTooShortError,
-    NumericAbort,
-    ProtocolError,
-    ShapeError,
-)
+from .errors import ConfigError, DataError, TokencastError
 from .evaluate import format_table, report_to_csv, run_protocol
 from .infer import ForecastRequest, ar_forecast
 from .model import count_parameters
 from .train import finetune_heads, loss_curve_to_csv, pretrain
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-EXIT_PROTOCOL = 5
-
 
 def _check_output(path: Path, run_dir: bool, force: bool) -> None:
     """Checked before any work. A run directory must be absent, or a directory
     that is empty unless --force is given; an output file must not be a
-    directory; and the nearest existing ancestor must be a directory."""
+    directory; and the parent of an absent output must be a directory."""
     if path.is_dir():
         if not run_dir:
             raise ConfigError(f"output file {path} is a directory")
@@ -64,10 +51,8 @@ def _check_output(path: Path, run_dir: bool, force: bool) -> None:
     elif path.exists():
         if run_dir:
             raise ConfigError(f"output directory {path} is not a directory")
-    else:
-        ancestor = next(p for p in path.parents if p.exists())
-        if not ancestor.is_dir():
-            raise ConfigError(f"output path {path}: {ancestor} is not a directory")
+    elif not path.parent.is_dir():
+        raise ConfigError(f"output path {path}: {path.parent} is not a directory")
 
 
 def _publish(path: Path, outputs: dict[str, str | bytes] | str, force: bool) -> None:
@@ -79,7 +64,6 @@ def _publish(path: Path, outputs: dict[str, str | bytes] | str, force: bool) -> 
     into = isinstance(outputs, dict) and path.is_dir()
     if into and not force and any(path.iterdir()):
         raise DataError(f"output directory {path} filled during the run; nothing written")
-    path.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(dir=path if into else path.parent,
                                   prefix=".tokencast-", suffix=".tmp"))
     try:
@@ -186,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(reports are bit-identical at any count)")
     parser.add_argument("--force", action="store_true",
                         help="allow writing into a non-empty output directory")
-    parser.add_argument("--preset", default=None,
+    parser.add_argument("--preset", default=None, choices=("paper",),
                         help="named model preset (currently: paper)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -239,20 +223,13 @@ def main(argv=None) -> int:
         if out is not None:
             _publish(Path(out), outputs, args.force)
         print(line, file=sys.stderr if args.command == "forecast" else sys.stdout)
-        return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataError, InputTooShortError, CheckpointFormatError, ShapeError,
-            OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericAbort as exc:
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ProtocolError as exc:
-        print(f"protocol violation: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
+        return 0
+    except TokencastError as exc:
+        error = exc
+    except OSError as exc:
+        error = DataError(exc)
+    print(f"{error.label}: {error}", file=sys.stderr)
+    return error.exit_code
 
 
 if __name__ == "__main__":

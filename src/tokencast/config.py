@@ -62,6 +62,8 @@ class RunConfig:
     # -- typed section views -------------------------------------------------
 
     def model_config(self, preset: str | None = None, seed: int | None = None) -> ModelConfig:
+        """[model], over the paper preset when ``preset`` is "paper", the one
+        name the command line accepts."""
         if preset == "paper":
             fixed = {_MODEL_INI_KEYS.get(name, name) for name in PAPER_PRESET}
             clash = fixed & set(self.sections.get("model", {}))
@@ -70,8 +72,6 @@ class RunConfig:
                     f"--preset paper fixes {sorted(clash)}; remove them from [model]"
                 )
             return self._build("model", PAPER_PRESET, seed=seed)
-        if preset is not None:
-            raise ConfigError(f"unknown preset {preset!r}")
         return self._build("model", seed=seed)
 
     def train_config(self, scope: str, seed: int | None = None) -> TrainConfig:

@@ -1,27 +1,43 @@
 """Exception types shared across the package.
 
-Each maps to a stable CLI exit code (see the ``cli`` module docstring and
-its ``EXIT_*`` constants).
+Every error the package raises for a bad input or a failed run is a
+``TokencastError`` of one of four families, and each family carries the
+stable exit code and the message label the command line reports it with:
+``ConfigError`` (2, config error), ``DataError`` (3, data error),
+``NumericAbort`` (4, numeric abort) and ``ProtocolError`` (5, protocol
+violation). The other classes narrow ``DataError``. Each family also keeps
+its ``ValueError`` or ``RuntimeError`` base for library callers.
 """
 
 
-class ShapeError(ValueError):
+class TokencastError(Exception):
+    """Base of the error families; a family sets both class attributes."""
+
+    exit_code: int
+    label: str
+
+
+class ConfigError(TokencastError, ValueError):
+    """Invalid configuration value or combination."""
+
+    exit_code, label = 2, "config error"
+
+
+class DataError(TokencastError, ValueError):
+    """Dataset ingestion or content problem (bad cell, ragged row, missing file)."""
+
+    exit_code, label = 3, "data error"
+
+
+class ShapeError(DataError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class ConfigError(ValueError):
-    """Invalid configuration value or combination."""
-
-
-class DataError(ValueError):
-    """Dataset ingestion or content problem (bad cell, ragged row, missing file)."""
-
-
-class InputTooShortError(ValueError):
+class InputTooShortError(DataError):
     """Series or window shorter than the minimum the operation needs."""
 
 
-class CheckpointFormatError(ValueError):
+class CheckpointFormatError(DataError):
     """Corrupt or truncated checkpoint file; message carries the byte offset."""
 
 
@@ -29,13 +45,17 @@ class CheckpointVersionError(CheckpointFormatError):
     """Checkpoint version not supported by this build."""
 
 
-class ProtocolError(RuntimeError):
+class ProtocolError(TokencastError, RuntimeError):
     """Evaluation protocol violated (e.g. zero-shot on a dataset the checkpoint
     was pretrained or fine-tuned on)."""
 
+    exit_code, label = 5, "protocol violation"
 
-class NumericAbort(RuntimeError):
+
+class NumericAbort(TokencastError, RuntimeError):
     """Training hit a non-finite loss; carries epoch/batch/lr diagnostics."""
+
+    exit_code, label = 4, "numeric abort"
 
     def __init__(self, message: str, epoch: int, batch: int, learning_rate: float):
         super().__init__(message)

@@ -62,7 +62,7 @@ class EvalRow:
 @dataclass
 class EvalReport:
     rows: list[EvalRow]
-    fingerprint: str = ""
+    fingerprint: str = ""  # run_protocol's; evaluate leaves it empty
 
 
 def metrics(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
@@ -210,8 +210,7 @@ def evaluate(
             dataset=series.name, horizon=horizon,
             mse=mse_v, mae=mae_v, windows=count[horizon],
         ))
-    fingerprint = checkpoint_hash(ckpt)[:16] if ckpt is not None else "custom"
-    return EvalReport(rows=rows, fingerprint=fingerprint)
+    return EvalReport(rows=rows)
 
 
 def run_protocol(
@@ -229,7 +228,8 @@ def run_protocol(
     tunes the heads of ``ckpt`` for each dataset with ``train_config`` on the
     most recent ``settings.fraction`` of its train range. The full test range
     is scored in every protocol. Rows follow the datasets, and the fingerprint
-    is the last scored checkpoint's.
+    is that of ``ckpt`` as given (the first 16 hex digits of its
+    ``checkpoint_hash``), even when few-shot scores tuned copies of it.
     """
     if not datasets:
         raise ConfigError("need at least one dataset to evaluate")
@@ -259,10 +259,9 @@ def run_protocol(
         scored = ckpt
         if tuning_sets:
             scored, _ = finetune_heads(ckpt, train_config, *tuning_sets[i])
-        report = evaluate(scored, series, split, list(settings.horizons),
-                          settings.lookback, stride=settings.stride, threads=threads)
-        rows += report.rows
-    return EvalReport(rows=rows, fingerprint=report.fingerprint)
+        rows += evaluate(scored, series, split, list(settings.horizons),
+                         settings.lookback, stride=settings.stride, threads=threads).rows
+    return EvalReport(rows=rows, fingerprint=checkpoint_hash(ckpt)[:16])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from dataclasses import fields, replace
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokencast import cli
+from tokencast import cli, errors
 from tokencast.cli import main
 from tokencast.checkpoint import from_params, load_checkpoint
 from tokencast.config import _SECTIONS, _ini_fields, parse_run_config
@@ -334,6 +335,18 @@ class TestPretrainCommand:
         assert main(["pretrain", str(cfg), str(tmp_path / "out")]) == 2
         assert "[data] split.mx names no dataset" in capsys.readouterr().err
 
+    def test_non_finite_loss_exits_4(self, tmp_path, synth_csv, capsys):
+        cfg = write_train_cfg(tmp_path, synth_csv)
+        cfg.write_text(cfg.read_text().replace(
+            "batch_size = 16", "batch_size = 1\nlearning_rate = 1e200"))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["pretrain", str(cfg), str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric abort: non-finite loss at epoch 1, batch 1, ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_dataset_exits_3(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -421,12 +434,14 @@ class TestRejectedRun:
         assert not out.exists()
 
     # a run directory must be absent or a directory, an output CSV must not be
-    # a directory, and the nearest existing ancestor must be a directory
+    # a directory, and an absent output's parent must be an existing directory,
+    # which is never created
     @pytest.mark.parametrize("command,out_path", [
         ("pretrain", "afile"), ("finetune", "afile"), ("few-shot", "afile"),
         ("pretrain", "afile/sub"), ("finetune", "afile/sub"), ("few-shot", "afile/sub"),
         ("forecast", "afile/sub"), ("synth", "afile/sub"),
         ("forecast", "adir"), ("synth", "adir"),
+        ("pretrain", "x/.."), ("synth", "nested/deep/x.csv"),
     ])
     def test_bad_output_path_exits_2(self, tmp_path, synth_csv, pretrained, capsys,
                                      command, out_path):
@@ -784,6 +799,18 @@ class TestEvaluateCommand:
         cfg.write_text(cfg_text)
         assert main(["evaluate", str(pretrained), str(cfg), str(tmp_path / "fs")]) == 0
 
+    # a report's fingerprint names the checkpoint file given, also under
+    # few-shot, whose tuned checkpoints are never written
+    @pytest.mark.parametrize("protocol", ["standard", "few-shot"])
+    def test_fingerprint_is_given_checkpoints_hash(self, tmp_path, synth_csv, pretrained,
+                                                   protocol):
+        cfg = (self.eval_cfg(tmp_path, synth_csv) if protocol == "standard"
+               else command_run("few-shot", tmp_path, synth_csv, pretrained)[1])
+        out = tmp_path / "ev"
+        assert main(["evaluate", str(pretrained), str(cfg), str(out)]) == 0
+        digest = hashlib.sha256(pretrained.read_bytes()).hexdigest()[:16]
+        assert (out / "report.csv").read_text().splitlines()[0] == f"# fingerprint={digest}"
+
     def test_non_integer_horizon_exits_2(self, tmp_path, synth_csv, pretrained, capsys):
         cfg = tmp_path / "eval.cfg"
         cfg.write_text(
@@ -890,6 +917,53 @@ class TestCliSurface:
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"tokencast {command}: error: the following arguments are required: {required}")
+
+    # argparse refuses an unknown preset before any command runs
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "few-shot", "forecast",
+                                         "synth"])
+    def test_unknown_preset_exits_2(self, tmp_path, synth_csv, pretrained, capsys,
+                                    command):
+        argv = output_head(command, tmp_path, synth_csv, pretrained) + [str(tmp_path / "out")]
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--preset", "bogus"] + argv)
+        assert exc.value.code == 2
+        assert "--preset: invalid choice: 'bogus'" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+ERRORS = sorted((cls for cls in vars(errors).values() if isinstance(cls, type)
+                 and issubclass(cls, errors.TokencastError)
+                 and cls is not errors.TokencastError), key=lambda cls: cls.__name__)
+
+
+class TestExitCodes:
+    # each error family carries its exit code and label; main prints one
+    # "<label>: <message>" line for it, and reports an OSError as a data error
+    EXPECTED = {
+        "ConfigError": (2, "config error"),
+        "DataError": (3, "data error"),
+        "ShapeError": (3, "data error"),
+        "InputTooShortError": (3, "data error"),
+        "CheckpointFormatError": (3, "data error"),
+        "CheckpointVersionError": (3, "data error"),
+        "NumericAbort": (4, "numeric abort"),
+        "ProtocolError": (5, "protocol violation"),
+        "PermissionError": (3, "data error"),
+    }
+
+    @pytest.mark.parametrize("cls", ERRORS + [PermissionError], ids=lambda cls: cls.__name__)
+    def test_error_exits_with_its_code(self, capsys, monkeypatch, cls):
+        code, label = self.EXPECTED[cls.__name__]
+        extra = (1, 2, 0.5) if cls is errors.NumericAbort else ()
+
+        def fail(args):
+            raise cls("it went wrong", *extra)
+
+        monkeypatch.setattr(cli, "cmd_inspect", fail)
+        assert main(["inspect", "model.ckpt"]) == code
+        assert capsys.readouterr() == ("", f"{label}: it went wrong\n")
 
 
 class TestInspectCommand:

@@ -393,7 +393,8 @@ class TestEvalSettings:
         report = run_protocol(tiny_ckpt, [(series, split)],
                               EvalSettings("standard", (4, 8), 12, 4),
                               threads=2)
-        assert report == evaluate(tiny_ckpt, series, split, [4, 8], 12, stride=4)
+        assert report.rows == evaluate(tiny_ckpt, series, split, [4, 8], 12, stride=4).rows
+        assert report.fingerprint == checkpoint_hash(tiny_ckpt)[:16]
 
 
 class TestReportSerialization:
