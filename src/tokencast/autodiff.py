@@ -404,6 +404,7 @@ def _interp_matrix(m: int, target_len: int) -> np.ndarray:
         frac = pos - lo
         w[lo, np.arange(target_len)] += 1.0 - frac
         w[lo + 1, np.arange(target_len)] += frac
+    w.setflags(write=False)  # shared by every caller
     return w
 
 

@@ -166,12 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override every configured seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for window evaluation "
-                             "(reports are bit-identical at any count)")
+                        help="workers for window evaluation: this process and "
+                             "forked children, where the OS can fork")
     parser.add_argument("--force", action="store_true",
                         help="allow writing into a non-empty output directory")
     parser.add_argument("--preset", default=None, choices=("paper",),
-                        help="named model preset (currently: paper)")
+                        help="named model preset for pretrain (currently: paper)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pretrain", help="train all parameters on the mixed dataset")
@@ -217,6 +217,8 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {args.threads}")
+        if args.preset is not None and args.command != "pretrain":
+            raise ConfigError(f"--preset applies only to pretrain, not {args.command}")
         if out is not None:
             _check_output(Path(out), hasattr(args, "out_dir"), args.force)
         outputs, line = args.fn(args)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,6 +131,78 @@ def _check_eval_settings(series: MultivariateSeries, split: DatasetSplit,
         )
 
 
+def _pickled_outcome(fn, k: int) -> bytes:
+    """``(True, fn(k))``, or ``(False, the exception it raised)``, pickled. An
+    exception that does not survive a pickle round trip (``NumericAbort``'s
+    keyword arguments break unpickling) travels as a RuntimeError that names
+    its type and message."""
+    try:
+        return pickle.dumps((True, fn(k)), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        try:
+            data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            pickle.loads(data)
+            return data
+        except Exception:
+            return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+
+
+def _forked_map(fn, n: int) -> list:
+    """``[fn(0), ..., fn(n - 1)]``, with each ``fn(k)`` for k >= 1 in a child
+    made by ``os.fork``.
+
+    This process runs fn(0) while the children run the rest, each on its own
+    interpreter lock and sharing this process's arrays copy-on-write, so no
+    input is copied or pickled. A child pickles its outcome into its own pipe
+    and leaves by ``os._exit``. The first chunk that failed, in k order,
+    raises its exception; a child that exits without sending its outcome
+    raises a RuntimeError naming its exit status. Every child is reaped before
+    this returns or raises. With one chunk, or where the OS cannot fork, the
+    chunks run here in order.
+    """
+    if n == 1 or not hasattr(os, "fork"):
+        return [fn(k) for k in range(n)]
+    children, received, statuses = [], [], []  # (pid, read end); bytes; codes
+    try:
+        for k in range(1, n):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the child never returns into the caller
+                code = 1
+                try:
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(_pickled_outcome(fn, k))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)  # so a child that dies reads as EOF
+            children.append((pid, read_fd))
+        try:
+            first = (True, fn(0))
+        except Exception as exc:
+            first = (False, exc)
+        for _, read_fd in children:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                received.append(pipe.read())
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)  # a child still writing fails and exits
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    outcomes = [first]
+    for k, (data, code) in enumerate(zip(received, statuses), start=1):
+        outcomes.append(pickle.loads(data) if code == 0 else (False, RuntimeError(
+            f"evaluate worker {k} exited with status {code} before sending its result")))
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
 def evaluate(
     ckpt: Checkpoint | None,
     series: MultivariateSeries,
@@ -151,9 +224,16 @@ def evaluate(
     its forecast at H must be the first H points of its forecast at any longer
     horizon, as it is for auto-regressive decoding and the naive baselines.
     Results are deterministic and row-independent, so ``threads`` only splits
-    work: reports are bit-identical at any thread count. A horizon listed
-    twice is scored twice; ``EvalSettings`` refuses one, so ``run_protocol``
-    never passes it.
+    work: reports are bit-identical at any count when ``series.values`` is
+    C-ordered (with another layout, each split's strides set the summation
+    order of the lookback statistics). ``threads`` is the number of workers:
+    this process decodes one share of the rows and, where the OS can fork,
+    a forked child process decodes each other share on its own interpreter
+    lock (elsewhere the shares run here in turn). So with ``threads > 1`` a
+    ``forecast_fn`` also runs in those children, and side effects it has
+    there, such as appending to a list, are not seen by the caller. A horizon
+    listed twice is scored twice; ``EvalSettings`` refuses one, so
+    ``run_protocol`` never passes it.
     """
     _check_eval_settings(series, split, EvalSettings(
         horizons=tuple(set(horizons)), lookback=lookback_len, stride=stride), threads)
@@ -193,11 +273,8 @@ def evaluate(
     # worker k decodes rows k, k + workers, ...: every chunk stays
     # longest-first and gets an equal share of the long rows
     workers = min(threads, len(windows))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(
-            lambda k: decode(lookbacks[k::workers], row_horizons[k::workers]),
-            range(workers),
-        ))
+    parts = _forked_map(
+        lambda k: decode(lookbacks[k::workers], row_horizons[k::workers]), workers)
     preds = np.full(truth.shape, np.nan)
     for k, part in enumerate(parts):
         preds[k::workers, :part.shape[1]] = part

@@ -208,7 +208,9 @@ def count_parameters(params: ModelParams, scope: str = "all") -> int:
 
 @functools.cache
 def _causal_mask(n: int) -> np.ndarray:
-    return np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.setflags(write=False)  # shared by every caller
+    return mask
 
 
 def causal_self_attention(h: Tensor, weights: dict[str, Tensor], num_heads: int) -> Tensor:

@@ -168,20 +168,23 @@ def _fit(
         total = 0.0
         for batch_idx, lo in enumerate(range(0, len(windows), train_config.batch_size)):
             batch = windows[lo:lo + train_config.batch_size]
-            loss = _batch_loss(params, batch, rng=drop_rng)
-            loss_value = float(loss.values)
-            if not np.isfinite(loss_value):
-                raise NumericAbort(
-                    f"non-finite loss at epoch {epoch}, batch {batch_idx}, "
-                    f"learning rate {train_config.learning_rate}",
-                    epoch=epoch, batch=batch_idx,
-                    learning_rate=train_config.learning_rate,
-                )
-            for t in trainable.values():
-                t.zero_grad()
-            backward(loss)
-            for name, t in trainable.items():
-                adam_step(t, states[name])
+            # a diverging step overflows quietly: the finite-loss check below
+            # reports it as the run's one NumericAbort
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = _batch_loss(params, batch, rng=drop_rng)
+                loss_value = float(loss.values)
+                if not np.isfinite(loss_value):
+                    raise NumericAbort(
+                        f"non-finite loss at epoch {epoch}, batch {batch_idx}, "
+                        f"learning rate {train_config.learning_rate}",
+                        epoch=epoch, batch=batch_idx,
+                        learning_rate=train_config.learning_rate,
+                    )
+                for t in trainable.values():
+                    t.zero_grad()
+                backward(loss)
+                for name, t in trainable.items():
+                    adam_step(t, states[name])
             total += loss_value * len(batch)
 
         train_mse = total / len(windows)

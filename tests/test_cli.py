@@ -1,11 +1,14 @@
 import hashlib
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tokencast
 from tokencast import cli, errors
 from tokencast.cli import main
 from tokencast.checkpoint import from_params, load_checkpoint
@@ -346,6 +349,22 @@ class TestPretrainCommand:
         assert err.startswith("numeric abort: non-finite loss at epoch 1, batch 1, ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_non_finite_loss_prints_only_its_line(self, tmp_path, synth_csv):
+        # pytest captures numpy's warnings, so only a fresh process shows them
+        cfg = write_train_cfg(tmp_path, synth_csv)
+        cfg.write_text(cfg.read_text().replace(
+            "batch_size = 16", "batch_size = 1\nlearning_rate = 1e200"))
+        src = str(Path(tokencast.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "tokencast.cli", "pretrain",
+             str(cfg), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4
+        assert proc.stderr == ("numeric abort: non-finite loss at epoch 1, batch 1, "
+                               "learning rate 1e+200\n")
 
     def test_missing_dataset_exits_3(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -930,6 +949,24 @@ class TestCliSurface:
             main(["--preset", "bogus"] + argv)
         assert exc.value.code == 2
         assert "--preset: invalid choice: 'bogus'" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    # only pretrain builds a model from a preset; every other command refuses
+    # one before any work
+    @pytest.mark.parametrize("command", ["finetune", "forecast", "evaluate", "synth",
+                                         "inspect"])
+    def test_preset_off_pretrain_exits_2(self, tmp_path, synth_csv, pretrained, capsys,
+                                         command):
+        if command == "inspect":
+            argv = ["inspect", str(pretrained)]
+        else:
+            argv = output_head("few-shot" if command == "evaluate" else command,
+                               tmp_path, synth_csv, pretrained) + [str(tmp_path / "out")]
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(["--preset", "paper"] + argv) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: --preset applies only to pretrain, not {command}\n")
         assert sorted(tmp_path.rglob("*")) == before
 
 

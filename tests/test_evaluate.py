@@ -1,4 +1,5 @@
 import csv
+import os
 import sys
 from dataclasses import replace
 
@@ -14,11 +15,12 @@ from tokencast.data import (
     chronological_split,
     synth_generate,
 )
-from tokencast.errors import ConfigError, ProtocolError, ShapeError
+from tokencast.errors import ConfigError, DataError, NumericAbort, ProtocolError, ShapeError
 from tokencast.evaluate import (
     EvalReport,
     EvalRow,
     EvalSettings,
+    _forked_map,
     evaluate,
     format_table,
     metrics,
@@ -224,6 +226,75 @@ class TestEvaluate:
         report = evaluate(tiny_ckpt, series, split, [4, 8], lookback_len=12, stride=4)
         assert all(r.windows > 0 for r in report.rows)
         assert [r.horizon for r in report.rows] == [4, 8]
+
+
+@pytest.fixture
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def persistence(lookbacks, horizon):
+    return np.repeat(lookbacks[:, -1:], horizon, axis=1)
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestForkedWorkers:
+    # evaluate's workers beyond the first are forked children; every case
+    # also checks that no child outlives the call
+    def test_nan_seen_only_by_worker_1_raises_its_data_error(self, tiny_ckpt):
+        series = sine_series("t", 48, length=300, seed=3)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        # stride = lookback puts each point in one origin's lookback, so the
+        # NaN reaches row 1 (origin 0, channel 1) alone, and row 1 is worker 1's
+        series.values[1, split.test[0] + 5] = np.nan
+        for threads in (1, 3):
+            with pytest.raises(DataError, match="^lookback contains non-finite values$"):
+                evaluate(tiny_ckpt, series, split, [4], lookback_len=12, stride=12,
+                         threads=threads)
+
+    def test_child_that_exits_names_its_status(self):
+        series = sine_series("s", 24, length=400, channels=2)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        caller = os.getpid()
+
+        def exits_in_child(lookbacks, horizon):
+            if os.getpid() != caller:
+                os._exit(3)
+            return persistence(lookbacks, horizon)
+
+        with pytest.raises(RuntimeError, match="exited with status 3 before"):
+            evaluate(None, series, split, [8], lookback_len=16, forecast_fn=exits_in_child,
+                     threads=3)
+
+    def test_first_failure_in_chunk_order_raises_unpicklable_as_runtime_error(self):
+        def fn(k):
+            if k == 1:
+                raise NumericAbort("diverged", epoch=1, batch=2, learning_rate=0.5)
+            if k == 2:
+                raise KeyError(k)
+            return k
+
+        assert _forked_map(lambda k: k * k, 3) == [0, 1, 4]
+        with pytest.raises(RuntimeError, match="^NumericAbort: diverged$"):
+            _forked_map(fn, 3)
+
+    def test_without_fork_matches_one_worker(self, tiny_ckpt, monkeypatch):
+        series = sine_series("t", 48, length=300, seed=3)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        serial = evaluate(tiny_ckpt, series, split, [4, 8], lookback_len=12, stride=2)
+        monkeypatch.delattr(os, "fork")
+        assert evaluate(tiny_ckpt, series, split, [4, 8], lookback_len=12, stride=2,
+                        threads=3) == serial
+
+    def test_forecast_fn_matches_one_worker(self):
+        series = sine_series("s", 24, length=400, channels=2)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        serial = evaluate(None, series, split, [8, 5], lookback_len=16, stride=3,
+                          forecast_fn=persistence)
+        assert evaluate(None, series, split, [8, 5], lookback_len=16, stride=3,
+                        forecast_fn=persistence, threads=3).rows == serial.rows
 
 
 class TestZeroShot:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tokencast import autodiff, model
 from tokencast.autodiff import Tensor, backward, mse
 from tokencast.errors import ConfigError
 from tokencast.model import (
@@ -137,6 +138,19 @@ class TestAttention:
         w["wo"] = Tensor(np.eye(d))
         out = causal_self_attention(Tensor(rng.normal(size=(4, d))), w, 2).values
         np.testing.assert_allclose(out, np.tile(u, (4, 1)), atol=1e-12)
+
+
+class TestSharedCaches:
+    # every forward, in every evaluate worker, reads the one cached array, so
+    # an in-place write would corrupt every later forward
+    @pytest.mark.parametrize("cached", [lambda: autodiff._interp_matrix(3, 7),
+                                        lambda: model._causal_mask(4)],
+                             ids=["interp_matrix", "causal_mask"])
+    def test_cached_array_is_read_only(self, cached):
+        array = cached()
+        assert array is cached()
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = array[0, 1]
 
 
 class TestStageForward:
