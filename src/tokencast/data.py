@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError
+from .errors import MAX_ELEMENTS, ConfigError, DataError
 
 Range = tuple[int, int]
 
@@ -267,6 +267,9 @@ class SynthSpec:
         for name in ("length", "channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.length * self.channels > MAX_ELEMENTS:
+            raise ConfigError(f"length {self.length} x channels {self.channels} "
+                              f"exceeds {MAX_ELEMENTS} values")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.components:

@@ -9,6 +9,10 @@ violation). The other classes narrow ``DataError``. Each family also keeps
 its ``ValueError`` or ``RuntimeError`` base for library callers.
 """
 
+# The most float64 elements (8 GiB) that one size a setting implies may reach;
+# a larger size is a ConfigError, raised before anything is allocated.
+MAX_ELEMENTS = 2**30
+
 
 class TokencastError(Exception):
     """Base of the error families; a family sets both class attributes."""

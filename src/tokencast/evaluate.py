@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .checkpoint import Checkpoint, checkpoint_hash, to_params
 from .data import DatasetSplit, MultivariateSeries, build_mixed_dataset
-from .errors import ConfigError, ProtocolError, ShapeError
+from .errors import MAX_ELEMENTS, ConfigError, ProtocolError, ShapeError
 from .infer import _decode_batch
 from .train import TrainConfig, check_windows, finetune_heads
 
@@ -117,8 +117,8 @@ def _grouped_decoder(forecast_fn):
 
 def _check_eval_settings(series: MultivariateSeries, split: DatasetSplit,
                          settings: EvalSettings, threads: int) -> None:
-    """Reject a thread count or a test range before any decoding or
-    fine-tuning."""
+    """Reject a thread count, a test range or a row count before any decoding
+    or fine-tuning."""
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     lo, hi = split.test
@@ -129,6 +129,11 @@ def _check_eval_settings(series: MultivariateSeries, split: DatasetSplit,
             f"(lookback {settings.lookback} + horizon {max(settings.horizons)}), "
             f"have {hi - lo}"
         )
+    rows = len(range(lo + settings.lookback, hi - min(settings.horizons) + 1,
+                     settings.stride)) * series.num_channels
+    if rows * needed > MAX_ELEMENTS:
+        raise ConfigError(f"{series.name}: {rows} rows of lookback and prediction "
+                          f"need {rows * needed} values, more than {MAX_ELEMENTS}")
 
 
 def _pickled_outcome(fn, k: int) -> bytes:
@@ -224,16 +229,14 @@ def evaluate(
     its forecast at H must be the first H points of its forecast at any longer
     horizon, as it is for auto-regressive decoding and the naive baselines.
     Results are deterministic and row-independent, so ``threads`` only splits
-    work: reports are bit-identical at any count when ``series.values`` is
-    C-ordered (with another layout, each split's strides set the summation
-    order of the lookback statistics). ``threads`` is the number of workers:
-    this process decodes one share of the rows and, where the OS can fork,
-    a forked child process decodes each other share on its own interpreter
-    lock (elsewhere the shares run here in turn). So with ``threads > 1`` a
-    ``forecast_fn`` also runs in those children, and side effects it has
-    there, such as appending to a list, are not seen by the caller. A horizon
-    listed twice is scored twice; ``EvalSettings`` refuses one, so
-    ``run_protocol`` never passes it.
+    work: reports are bit-identical at any count. ``threads`` is the number of
+    workers: this process decodes one share of the rows and, where the OS can
+    fork, a forked child process decodes each other share on its own
+    interpreter lock (elsewhere the shares run here in turn). So with
+    ``threads > 1`` a ``forecast_fn`` also runs in those children, and side
+    effects it has there, such as appending to a list, are not seen by the
+    caller. A horizon listed twice is scored twice; ``EvalSettings`` refuses
+    one, so ``run_protocol`` never passes it.
     """
     _check_eval_settings(series, split, EvalSettings(
         horizons=tuple(set(horizons)), lookback=lookback_len, stride=stride), threads)
@@ -248,7 +251,6 @@ def evaluate(
             return _decode_batch(params, lookbacks, int(row_horizons.max()),
                                  horizons=row_horizons)[0]
     lo, hi = split.test
-    needed = lookback_len + max(horizons)
 
     # origins lo + L + i * stride for i < count[h]; every horizon's origins
     # are a prefix of the shortest horizon's, so each origin is decoded to the
@@ -261,28 +263,28 @@ def evaluate(
     channels = series.num_channels
     row_horizons = np.repeat(origin_horizon, channels)  # origin-major rows
 
-    # one (lookback + longest horizon) window per row, NaN-padded past the
-    # end of the test range; each row is scored only up to its own horizon
-    pad = (len(origin_horizon) - 1) * stride + needed - (hi - lo)
-    segment = np.pad(series.values[:, lo:hi], ((0, 0), (0, max(pad, 0))),
-                     constant_values=np.nan)
-    windows = sliding_window_view(segment, needed, axis=-1)[:, ::stride][:, :len(origin_horizon)]
-    windows = windows.transpose(1, 0, 2).reshape(-1, needed)
-    lookbacks, truth = windows[:, :lookback_len], windows[:, lookback_len:]
+    def window_rows(start: int, length: int, origins: int) -> np.ndarray:
+        """(origins * channels, length) origin-major rows of ``length`` points,
+        the first starting ``start`` points into the test range and each
+        origin ``stride`` points after the last."""
+        view = sliding_window_view(series.values[:, lo + start:hi], length, axis=-1)
+        return view[:, ::stride][:, :origins].transpose(1, 0, 2).reshape(-1, length)
+
+    lookbacks = window_rows(0, lookback_len, len(origin_horizon))
 
     # worker k decodes rows k, k + workers, ...: every chunk stays
     # longest-first and gets an equal share of the long rows
-    workers = min(threads, len(windows))
+    workers = min(threads, len(lookbacks))
     parts = _forked_map(
         lambda k: decode(lookbacks[k::workers], row_horizons[k::workers]), workers)
-    preds = np.full(truth.shape, np.nan)
+    preds = np.full((len(lookbacks), max(horizons)), np.nan)
     for k, part in enumerate(parts):
         preds[k::workers, :part.shape[1]] = part
 
     rows: list[EvalRow] = []
     for horizon in sorted(horizons):
-        scored = count[horizon] * channels
-        mse_v, mae_v = metrics(preds[:scored, :horizon], truth[:scored, :horizon])
+        truth = window_rows(lookback_len, horizon, count[horizon])
+        mse_v, mae_v = metrics(preds[:len(truth), :horizon], truth)
         rows.append(EvalRow(
             dataset=series.name, horizon=horizon,
             mse=mse_v, mae=mae_v, windows=count[horizon],

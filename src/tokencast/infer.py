@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .errors import ConfigError, DataError
+from .errors import MAX_ELEMENTS, ConfigError, DataError
 from .model import ModelParams, model_forward
 from .preprocess import denormalize, instance_normalize
 
@@ -38,23 +38,19 @@ class ForecastResult:
     decode_steps: int
 
 
-def context_window(tokens: np.ndarray, max_tokens: int) -> np.ndarray:
-    """Most recent max_tokens tokens along the token axis, order preserved."""
-    n = tokens.shape[-2]
-    return tokens[..., max(0, n - max_tokens):, :]
-
-
 def _decode_batch(params: ModelParams, lookbacks: np.ndarray, horizon: int,
                   *, horizons: np.ndarray | None = None,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Decode a (N, L) batch of univariate lookbacks to (N, horizon).
 
-    Rows are independent: every kernel is row-local, so batched decoding is
-    bit-identical to one-at-a-time decoding. ``horizons`` gives each row its
-    own horizon, non-increasing down the rows and starting at ``horizon``
-    (every row's horizon is ``horizon`` if it is omitted): a row retires from
-    the batch once its own horizon is decoded, so later steps run on a
-    shrinking prefix of the rows, and its output past its own horizon is NaN.
+    Rows are independent: every kernel is row-local, and the statistics are
+    taken over a contiguous copy of each row, so batched decoding is
+    bit-identical to one-at-a-time decoding whatever the memory layout of
+    ``lookbacks``. ``horizons`` gives each row its own horizon, non-increasing
+    down the rows and starting at ``horizon`` (every row's horizon is
+    ``horizon`` if it is omitted): a row retires from the batch once its own
+    horizon is decoded, so later steps run on a shrinking prefix of the rows,
+    and its output past its own horizon is NaN.
     The returned step count is the longest row's.
     """
     cfg = params.config
@@ -62,6 +58,10 @@ def _decode_batch(params: ModelParams, lookbacks: np.ndarray, horizon: int,
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     rows = lookbacks.shape[0]
+    steps = math.ceil(horizon / t_len)
+    if rows * steps * t_len > MAX_ELEMENTS:
+        raise ConfigError(f"decoding {rows} rows to horizon {horizon} needs "
+                          f"{rows * steps * t_len} values, more than {MAX_ELEMENTS}")
     if not np.all(np.isfinite(lookbacks)):
         raise DataError("lookback contains non-finite values")
     ctx, mu, scale = instance_normalize(lookbacks, t_len, cfg.max_tokens)
@@ -73,18 +73,16 @@ def _decode_batch(params: ModelParams, lookbacks: np.ndarray, horizon: int,
             f"per-row horizons must be {rows} non-increasing values in "
             f"[1, {horizon}] reaching {horizon}"
         )
-    steps = math.ceil(horizon / t_len)
     row_steps = -(-horizons // t_len)
     decoded = np.full((rows, steps * t_len), np.nan)
     with no_grad():
         for s in range(steps):
             n = int(np.count_nonzero(row_steps > s))  # rows still decoding
             ctx = ctx[:n]
-            window = context_window(ctx, cfg.max_tokens)
-            out = model_forward(params, Tensor(window))
+            out = model_forward(params, Tensor(ctx))
             next_token = out.prediction.values[..., -1:, :]
             decoded[:n, s * t_len:(s + 1) * t_len] = next_token[..., 0, :]
-            ctx = np.concatenate([ctx, next_token], axis=-2)
+            ctx = np.concatenate([ctx, next_token], axis=-2)[:, -cfg.max_tokens:]
     decoded[np.arange(steps * t_len) >= horizons[:, None]] = np.nan
     return denormalize(decoded[:, :horizon], mu, scale), mu[..., 0], scale[..., 0], steps
 

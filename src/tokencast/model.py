@@ -35,7 +35,7 @@ from .autodiff import (
     slice_rows,
     sub,
 )
-from .errors import ConfigError
+from .errors import MAX_ELEMENTS, ConfigError
 
 SCOPE_HEAD = "head"
 SCOPE_NON_HEAD = "non-head"
@@ -77,6 +77,16 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
+        # parameter_layout's total by arithmetic, so a huge layer count is
+        # refused without walking the layout: per stage, embed, positions,
+        # final norm and head, plus each layer's norms, attention and FFN
+        d, f = self.model_width, self.feedforward_width
+        per_layer = 4 * d * d + 2 * d * f + 9 * d + f
+        size = sum((2 * d + 1) * (self.token_len // k) + (self.max_tokens + 3) * d
+                   + self.layers_per_stage * per_layer for k in self.pool_kernels)
+        if size > MAX_ELEMENTS:
+            raise ConfigError(f"the model would hold {size} parameters, "
+                              f"more than {MAX_ELEMENTS}")
 
 
 def parse_field(f: Field, text: str):

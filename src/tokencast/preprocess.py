@@ -5,6 +5,12 @@ share: each row keeps its newest full tokens (at most max_tokens of them) and
 is standardized by the mean and population std of exactly those points. The
 statistics travel with the tokens so predictions can be mapped back to series
 units; decoding reuses the lookback's stats unchanged.
+
+This module also owns a row's memory layout: the statistics are taken over a
+C-contiguous copy of the kept points, because numpy's summation order follows
+the strides of the array it reduces. Over a caller's view (a column of an
+F-ordered series, or every k-th row of a batch) their last bit would depend
+on how the caller sliced its rows, and so would the forecast.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ def instance_normalize(
             f"window of {length} points is shorter than one token ({token_len})"
         )
     num_tokens = min(length // token_len, max_tokens)
-    effective = windows[..., length - num_tokens * token_len:]
+    effective = np.ascontiguousarray(windows[..., length - num_tokens * token_len:])
     mu = effective.mean(axis=-1, keepdims=True)
     scale = effective.std(axis=-1, keepdims=True) + EPS
     tokens = ((effective - mu) / scale).reshape(

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import re
+import resource
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -68,6 +70,15 @@ def pretrained(tmp_path, synth_csv):
     out = tmp_path / "pre"
     assert main(["pretrain", str(cfg), str(out)]) == 0
     return out / "model.ckpt"
+
+
+def run_cli_process(*args, **kwargs):
+    """``python *args`` in a fresh interpreter that imports this package."""
+    src = str(Path(tokencast.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, **kwargs)
 
 
 def write_train_cfg(tmp_path, csv_path, extra=""):
@@ -355,13 +366,8 @@ class TestPretrainCommand:
         cfg = write_train_cfg(tmp_path, synth_csv)
         cfg.write_text(cfg.read_text().replace(
             "batch_size = 16", "batch_size = 1\nlearning_rate = 1e200"))
-        src = str(Path(tokencast.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-W", "default", "-m", "tokencast.cli", "pretrain",
-             str(cfg), str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = run_cli_process("-W", "default", "-m", "tokencast.cli", "pretrain",
+                               str(cfg), str(tmp_path / "out"), timeout=120)
         assert proc.returncode == 4
         assert proc.stderr == ("numeric abort: non-finite loss at epoch 1, batch 1, "
                                "learning rate 1e+200\n")
@@ -596,6 +602,65 @@ def non_head_names(config):
     return [name for name, _, scope in parameter_layout(config) if scope == "non-head"]
 
 
+BIG = 10**20
+
+
+class TestSizeBounds:
+    # a size beyond errors.MAX_ELEMENTS float64 values exits 2 with one line
+    # before anything of that size is allocated
+    @pytest.mark.parametrize("case", [
+        "synth channels", "synth length", "model token_len", "model max_tokens",
+        "model width", "model feedforward_width", "forecast horizon", "evaluate rows"])
+    def test_oversized_exits_2(self, tmp_path, synth_csv, request, capsys, case):
+        kind, key = case.split()
+        out = tmp_path / "out"
+        if kind == "synth":
+            sizes = {"length": 50, "channels": 1, key: BIG}
+            cfg = tmp_path / "s.cfg"
+            cfg.write_text(f"[synth]\nlength = {sizes['length']}\n"
+                           f"channels = {sizes['channels']}\ncomponents = sine(period=10)\n")
+            argv = ["synth", str(cfg), str(out)]
+        elif kind == "model":
+            cfg = write_train_cfg(tmp_path, synth_csv)
+            cfg.write_text(re.sub(f"^{key} = .*$", f"{key} = {BIG}", cfg.read_text(),
+                                  flags=re.M))
+            argv = ["pretrain", str(cfg), str(out)]
+        elif kind == "forecast":  # 2 channels x 25e12 steps x 4 points
+            argv = ["forecast", str(request.getfixturevalue("pretrained")),
+                    str(synth_csv), "99999999999999", str(out)]
+        else:  # 35997 rows x (4 + 36000) points
+            (tmp_path / "big.csv").write_text(
+                "ch0\n" + "\n".join(str(i % 7) for i in range(90000)) + "\n")
+            cfg = tmp_path / "eval.cfg"
+            cfg.write_text("[data]\ndatasets = big=big.csv\nsplit = 0.1,0.1,0.8\n"
+                           "[eval]\nhorizons = 36000\nlookback = 4\n")
+            argv = ["evaluate", str(request.getfixturevalue("pretrained")), str(cfg),
+                    str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(errors.MAX_ELEMENTS) in err
+        assert not out.exists()
+
+    def test_oversized_layer_count_exits_2(self, tmp_path, synth_csv):
+        # code that walks parameter_layout to count parameters loops here
+        # while its memory grows, so only a limited child process runs it
+        cfg = write_train_cfg(tmp_path, synth_csv)
+        cfg.write_text(cfg.read_text().replace("layers_per_stage = 1",
+                                               f"layers_per_stage = {10**14}"))
+        limit = 2**30
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = run_cli_process("-m", "tokencast.cli", "pretrain", str(cfg),
+                               str(tmp_path / "out"), timeout=60,
+                               preexec_fn=limit_memory)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: the model would hold ")
+        assert proc.stderr.count("\n") == 1
+
+
 class TestFinetuneCommand:
     def test_default_scope_preserves_non_heads(self, tmp_path, synth_csv, pretrained):
         cfg = write_train_cfg(tmp_path, synth_csv)
@@ -674,6 +739,21 @@ class TestEvaluateCommand:
         assert "dataset,horizon,mse,mae,windows" in report
         assert "mix,4," in report and "mix,8," in report
         assert "mix" in capsys.readouterr().out
+
+    def test_multi_channel_csv_report_identical_at_any_threads(self, tmp_path, synth_csv,
+                                                                pretrained):
+        # a 2-channel CSV loads F-ordered; stride 1 gives every worker
+        # differently strided rows
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"[data]\ndatasets = mix={synth_csv.name}\nsplit = 0.7,0.1,0.2\n"
+                       "[eval]\nhorizons = 4,8,13\nlookback = 12\nstride = 1\n")
+        reports = set()
+        for threads in (1, 2, 3):
+            out = tmp_path / f"ev{threads}"
+            assert main(["--threads", str(threads), "evaluate", str(pretrained), str(cfg),
+                         str(out)]) == 0
+            reports.add((out / "report.csv").read_bytes())
+        assert len(reports) == 1
 
     def test_zero_shot_on_source_exits_5(self, tmp_path, synth_csv, pretrained):
         cfg = self.eval_cfg(tmp_path, synth_csv, "protocol = zero-shot\n")

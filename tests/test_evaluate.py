@@ -228,6 +228,27 @@ class TestEvaluate:
         assert [r.horizon for r in report.rows] == [4, 8]
 
 
+class TestMemoryLayout:
+    # a multi-channel CSV loads F-ordered; neither its layout nor how its
+    # rows are split between workers may change a report bit
+    def test_f_ordered_rows_match_c_ordered_at_any_threads(self, tiny_ckpt):
+        series = sine_series("t", 48, length=300, seed=3)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        fortran = replace(series, values=np.asfortranarray(series.values))
+        expected = evaluate(tiny_ckpt, series, split, [4, 8, 13], lookback_len=12).rows
+        for threads in (1, 2, 3):
+            assert evaluate(tiny_ckpt, fortran, split, [4, 8, 13], lookback_len=12,
+                            threads=threads).rows == expected
+
+    def test_integer_series_scores_like_its_float_copy(self, tiny_ckpt):
+        series = sine_series("t", 48, length=300, seed=3)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        ints = replace(series, values=np.round(series.values * 100).astype(np.int64))
+        floats = replace(ints, values=ints.values.astype(np.float64))
+        assert (evaluate(tiny_ckpt, ints, split, [4, 8], lookback_len=12, stride=3)
+                == evaluate(tiny_ckpt, floats, split, [4, 8], lookback_len=12, stride=3))
+
+
 @pytest.fixture
 def no_child_left():
     yield

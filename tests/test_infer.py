@@ -7,7 +7,6 @@ from tokencast.infer import (
     ForecastRequest,
     _decode_batch,
     ar_forecast,
-    context_window,
 )
 from tokencast.model import ModelConfig, init_model
 from tokencast.preprocess import instance_normalize
@@ -29,25 +28,6 @@ def t48_params():
 @pytest.fixture(scope="module")
 def tiny_params():
     return init_model(TINY)
-
-
-class TestContextWindow:
-    def test_suffix(self):
-        tokens = np.arange(18.0).reshape(9, 2)
-        out = context_window(tokens, 7)
-        np.testing.assert_array_equal(out, tokens[2:])
-
-    def test_short_context_kept(self):
-        tokens = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_array_equal(context_window(tokens, 7), tokens)
-
-    def test_old_tokens_ignored(self, rng):
-        tokens = rng.normal(size=(9, 4))
-        other = tokens.copy()
-        other[:2] += 100.0
-        np.testing.assert_array_equal(
-            context_window(tokens, 7), context_window(other, 7)
-        )
 
 
 class TestDecodeSteps:
@@ -179,3 +159,11 @@ class TestMultivariate:
         for c in range(3):
             assert mu[c] == pytest.approx(x[c].mean())
             assert scale[c] == pytest.approx(x[c].std(), rel=1e-4)
+
+    def test_f_ordered_batch_matches_one_row_decodes(self, tiny_params, rng):
+        # a multi-channel CSV loads F-ordered; its rows must decode as alone
+        lookback = np.asfortranarray(rng.normal(size=(3, 40)))
+        batched = ar_forecast(tiny_params, ForecastRequest(lookback, 9)).predictions
+        for c in range(3):
+            solo = ar_forecast(tiny_params, ForecastRequest(lookback[c].copy(), 9))
+            np.testing.assert_array_equal(batched[c], solo.predictions[0])

@@ -48,6 +48,19 @@ class TestConfig:
         assert cfg.token_len == 48 and cfg.max_tokens == 7
         assert cfg.layers_per_stage == 3
 
+    @pytest.mark.parametrize("cfg", [
+        TINY, ModelConfig(), paper_preset(model_width=16, attention_heads=2),
+        ModelConfig(num_stages=3, pool_kernels=(6, 3, 1), token_len=12, max_tokens=5,
+                    model_width=10, attention_heads=5, feedforward_width=7,
+                    layers_per_stage=3)], ids=["tiny", "default", "paper", "odd"])
+    def test_parameter_bound_is_the_layout_count(self, monkeypatch, cfg):
+        size = sum(int(np.prod(shape)) for _, shape, _ in parameter_layout(cfg))
+        monkeypatch.setattr(model, "MAX_ELEMENTS", size)
+        ModelConfig(**vars(cfg))
+        monkeypatch.setattr(model, "MAX_ELEMENTS", size - 1)
+        with pytest.raises(ConfigError, match=f"would hold {size} parameters"):
+            ModelConfig(**vars(cfg))
+
 
 class TestInit:
     def test_deterministic(self):
