@@ -9,12 +9,15 @@ topological order and accumulates gradients into ``requires_grad`` leaves. The
 tape is released after the walk; leaf ``.grad`` buffers accumulate across
 calls until zeroed.
 
-Gradient arrays are never written in place. A leaf's first gradient is the
-array its consumer's closure produced, with no copy, so it may be shared with
-another leaf (both operands of ``add``) or be the upstream gradient itself
-(``add``, ``sub``). Accumulation is ``t.grad + g``, a new array, and
-``adam_step`` only reads ``param.grad``; a kernel or optimizer that wrote into
-a gradient would corrupt every array sharing it.
+A kernel writes only into arrays it allocated in the same call. Its in-place
+ops and ``out=`` buffers never touch an input, a parameter or an upstream
+gradient, and in particular gradient arrays are never written in place. A
+leaf's first gradient is the array its consumer's closure produced, with no
+copy, so it may be shared with another leaf (both operands of ``add``) or be
+the upstream gradient itself (``add``, ``sub``, a unit max-pool).
+Accumulation is ``t.grad + g``, a new array, and ``adam_step`` only reads
+``param.grad``; a kernel or optimizer that wrote into a gradient would
+corrupt every array sharing it.
 
 A tape belongs to one logical thread. ``no_grad`` disables recording (used for
 validation and inference) for the calling thread only, so worker threads that
@@ -177,14 +180,38 @@ def backward(loss: Tensor) -> None:
         node.grad = None
 
 
+def _max_lastdim(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1)`` as a fold of ``np.maximum`` over the last axis's
+    slices. numpy reduces a last axis only a few elements long far slower at
+    batch sizes; a maximum is exact, so the fold gives the same values."""
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(out, x[..., j], out=out)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` of a (..., k) input by a shared (k, n) weight
-    and an (n,) bias, as one node.
+    """Affine map ``x @ w + b`` of a (..., L, k) input by a shared (k, n)
+    weight and an (n,) bias, as one node.
+
+    Forward folds the leading dimensions into the rows of one 2-D GEMM,
+    ``x.reshape(-1, k) @ w``, in place of a stacked product that makes one
+    small BLAS call per row. A GEMM computes each output entry the same way
+    whatever its row count, so the fold gives the stacked product's bits
+    (the tests pin this at the model's widths). It has two exceptions, which
+    keep the stacked ``x @ w``:
+
+    - a 1-token context (L == 1): there the stacked product is a
+      vector-matrix product per row, which BLAS computes on another path
+      than a GEMM. Folding would make a batched row differ in its last bits
+      from the same row decoded alone;
+    - a single row (every leading dimension 1): the product is already one
+      GEMM, and the reshapes would only cost time.
 
     Backward folds every leading dimension of ``x`` into the rows of one GEMM
     per operand: the weight gradient is ``x.reshape(-1, k).T @ g.reshape(-1, n)``
@@ -199,7 +226,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear inner dimensions disagree: {sx} x {sw}")
     if b.values.shape != sw[1:]:
         raise ShapeError(f"linear bias must have shape ({sw[1]},), got {b.values.shape}")
-    out = x.values @ w.values
+    if sx[-2] > 1 and math.prod(sx[:-2]) > 1:
+        out = (x.values.reshape(-1, sw[0]) @ w.values).reshape(sx[:-1] + sw[1:])
+    else:
+        out = x.values @ w.values
     out += b.values
 
     def bwd(g: np.ndarray) -> None:
@@ -225,6 +255,10 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     zeros: masked scores are replaced by -inf before the shifted exp, so the
     attention weight there and its gradient are exactly 0.0. Every query must
     keep at least one unmasked key.
+
+    The row maxima that shift the exp fold ``np.maximum`` over the key slices
+    (``_max_lastdim``) when there is more than one row. One row reduces
+    directly, where the fold's extra calls would only cost time.
     """
     shape = q.values.shape
     split = shape[:-1] + (num_heads, shape[-1] // num_heads)
@@ -233,9 +267,13 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     qh = q.values.reshape(split).swapaxes(-3, -2)
     kh = k.values.reshape(split).swapaxes(-3, -2)
     vh = v.values.reshape(split).swapaxes(-3, -2)
-    scores = np.where(mask, -np.inf, (qh @ kh.swapaxes(-1, -2)) * scale)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
+    attn = qh @ kh.swapaxes(-1, -2)
+    attn *= scale
+    np.copyto(attn, -np.inf, where=mask)
+    top = _max_lastdim(attn) if math.prod(shape[:-2]) > 1 else attn.max(axis=-1)
+    attn -= top[..., None]
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
     out = (attn @ vh).swapaxes(-3, -2).reshape(shape)
 
     def merge(gh: np.ndarray) -> np.ndarray:
@@ -244,9 +282,10 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     def bwd(g: np.ndarray) -> None:
         g_ctx = g.reshape(split).swapaxes(-3, -2)
         if q.requires_grad or k.requires_grad:
-            g_attn = g_ctx @ vh.swapaxes(-1, -2)
-            dot = (g_attn * attn).sum(axis=-1, keepdims=True)
-            g_scores = attn * (g_attn - dot) * scale
+            g_scores = g_ctx @ vh.swapaxes(-1, -2)
+            g_scores -= (g_scores * attn).sum(axis=-1, keepdims=True)
+            g_scores *= attn
+            g_scores *= scale
             if q.requires_grad:
                 _accum(q, merge(g_scores @ kh))
             if k.requires_grad:
@@ -330,12 +369,21 @@ def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     a = _as_tensor(a)
     x = a.values
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = x * cdf
 
     def bwd(g: np.ndarray) -> None:
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        _accum(a, g * (cdf + x * pdf))
+        ga = -0.5 * x
+        ga *= x
+        np.exp(ga, out=ga)
+        ga *= _INV_SQRT_2PI
+        ga *= x
+        ga += cdf
+        ga *= g
+        _accum(a, ga)
 
     return _node(out, (a,), bwd)
 
@@ -350,12 +398,18 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"{gain.values.shape} and {bias.values.shape}"
         )
     # sum / n is the reduction and divide np.mean runs, without its wrapper
-    mean = a.values.sum(axis=-1, keepdims=True) / n
-    centered = a.values - mean
-    var = (centered * centered).sum(axis=-1, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = xhat * gain.values + bias.values
+    mean = a.values.sum(axis=-1, keepdims=True)
+    mean /= n
+    xhat = a.values - mean
+    out = xhat * xhat  # the squared deviations, until the output overwrites them
+    inv_std = out.sum(axis=-1, keepdims=True)
+    inv_std /= n
+    inv_std += eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    np.multiply(xhat, gain.values, out=out)
+    out += bias.values
 
     def bwd(g: np.ndarray) -> None:
         if gain.requires_grad:
@@ -363,10 +417,17 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if bias.requires_grad:
             _accum(bias, g.reshape(-1, n).sum(axis=0))
         if a.requires_grad:
-            dxhat = g * gain.values
-            m1 = dxhat.sum(axis=-1, keepdims=True) / n
-            m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
-            _accum(a, inv_std * (dxhat - m1 - xhat * m2))
+            ga = g * gain.values
+            m1 = ga.sum(axis=-1, keepdims=True)
+            m1 /= n
+            prod = ga * xhat
+            m2 = prod.sum(axis=-1, keepdims=True)
+            m2 /= n
+            np.multiply(xhat, m2, out=prod)
+            ga -= m1
+            ga -= prod
+            ga *= inv_std
+            _accum(a, ga)
 
     return _node(out, (a, gain, bias), bwd)
 
@@ -374,20 +435,30 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def max_pool_within_token(a: Tensor, k: int) -> Tensor:
     """Non-overlapping max pooling inside the last axis; stride equals k.
 
-    The gradient routes to the argmax of each window (first index on ties).
+    The gradient routes to the first maximum of each window: the first index
+    wins on ties, and a window holding a NaN (whose maximum is NaN) routes to
+    its first NaN, as ``argmax`` does. Forward folds ``np.maximum`` over the
+    k strided slices of the windows (``_max_lastdim``), and backward routes
+    the gradient with equality masks over the same slices. At k = 1 values
+    and gradient pass through unchanged.
     """
     a = _as_tensor(a)
     t = a.values.shape[-1]
     if k < 1 or t % k != 0:
         raise ConfigError(f"pool kernel {k} must divide token length {t}")
+    if k == 1:
+        return _node(a.values, (a,), lambda g: _accum(a, g))
     windows = a.values.reshape(a.values.shape[:-1] + (t // k, k))
-    out = windows.max(axis=-1)
+    out = _max_lastdim(windows)
 
     def bwd(g: np.ndarray) -> None:
-        ga = np.zeros_like(windows)
-        idx = windows.argmax(axis=-1)
-        np.put_along_axis(ga, idx[..., None], g[..., None], axis=-1)
-        _accum(a, ga.reshape(a.values.shape))
+        hit = windows == out[..., None]
+        hit |= np.isnan(windows)
+        routed = hit[..., 0].copy()
+        for j in range(1, k):  # keep only each window's first hit
+            hit[..., j] &= ~routed
+            routed |= hit[..., j]
+        _accum(a, np.where(hit, g[..., None], 0.0).reshape(a.values.shape))
 
     return _node(out, (a,), bwd)
 

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 import tokencast.autodiff as autodiff
 from tokencast.autodiff import (
@@ -247,6 +248,24 @@ class TestLinear:
         np.testing.assert_array_equal(x.grad, (g.reshape(-1, 4) @ w0.T).reshape(x0.shape))
         np.testing.assert_array_equal(w.grad, x0.reshape(-1, 6).T @ g.reshape(-1, 4))
 
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("tokens", [1, 2, 7])
+    @pytest.mark.parametrize("k,n", [(64, 128), (128, 64)])
+    def test_equals_stacked_product(self, rng, lead, tokens, k, n):
+        # at the model's widths, where the folded forward and the stacked
+        # product x @ w run on the GEMMs BLAS picks for these shapes
+        x0, w0, b0 = (rng.normal(size=lead + (tokens, k)), rng.normal(size=(k, n)),
+                      rng.normal(size=n))
+        g = rng.normal(size=lead + (tokens, n))
+        x, w, b = (Tensor(v, requires_grad=True) for v in (x0, w0, b0))
+        out = linear(x, w, b)
+        out._backward_fn(g)
+        rows = g.reshape(-1, n)
+        np.testing.assert_array_equal(out.values, x0 @ w0 + b0)
+        np.testing.assert_array_equal(b.grad, g.sum(axis=tuple(range(g.ndim - 1))))
+        np.testing.assert_array_equal(x.grad, (rows @ w0.T).reshape(x0.shape))
+        np.testing.assert_array_equal(w.grad, x0.reshape(-1, k).T @ rows)
+
 
 def _old_attention_chain(q, k, v, num_heads, mask, g):
     """The 13-node chain causal_attention replaced, one numpy step per old
@@ -298,18 +317,29 @@ class TestCausalAttention:
 
         check_gradient(loss, operands[wrt], rtol=1e-5)
 
-    @pytest.mark.parametrize("lead", sorted(LEADING))
-    def test_equals_old_chain(self, rng, lead):
-        operands = self._operands(rng, lead)
-        mask = np.triu(np.ones((4, 4), dtype=bool), k=1)
-        g = rng.normal(size=operands[0].shape)
+    @staticmethod
+    def _assert_equals_old_chain(operands, heads, g):
+        n = operands[0].shape[-2]
+        mask = np.triu(np.ones((n, n), dtype=bool), k=1)
         q, k, v = (Tensor(x, requires_grad=True) for x in operands)
-        out = causal_attention(q, k, v, self.HEADS, mask)
+        out = causal_attention(q, k, v, heads, mask)
         out._backward_fn(g)
-        ref_out, ref_grads = _old_attention_chain(*operands, self.HEADS, mask, g)
+        ref_out, ref_grads = _old_attention_chain(*operands, heads, mask, g)
         np.testing.assert_array_equal(out.values, ref_out)
         for t, ref in zip((q, k, v), ref_grads):
             np.testing.assert_array_equal(t.grad, ref)
+
+    @pytest.mark.parametrize("lead", sorted(LEADING))
+    def test_equals_old_chain(self, rng, lead):
+        operands = self._operands(rng, lead)
+        self._assert_equals_old_chain(operands, self.HEADS,
+                                      rng.normal(size=operands[0].shape))
+
+    @pytest.mark.parametrize("width", [64, 128])
+    def test_equals_old_chain_at_model_widths(self, rng, width):
+        # 5 rows of a 7-token context, 4 heads, as in the paper preset
+        operands = [rng.normal(size=(5, 7, width)) for _ in range(3)]
+        self._assert_equals_old_chain(operands, 4, rng.normal(size=(5, 7, width)))
 
     def test_first_position_sees_only_itself(self, rng):
         q, k, v = self._operands(rng, "3d")
@@ -335,7 +365,41 @@ class TestNodeBudget:
         assert 0 < len(calls) <= 183
 
 
+MODEL_SHAPES = [(5, 7, 64), (5, 7, 128)]
+
+
+def _old_layer_norm(x, gain, bias, g, eps=1e-5):
+    """layer_norm's forward and backward formulas, one numpy expression per
+    temporary: returns the output and the gradients of x, gain and bias."""
+    n = x.shape[-1]
+    mean = x.sum(axis=-1, keepdims=True) / n
+    centered = x - mean
+    var = (centered * centered).sum(axis=-1, keepdims=True) / n
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    out = xhat * gain + bias
+    dxhat = g * gain
+    m1 = dxhat.sum(axis=-1, keepdims=True) / n
+    m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
+    grads = [inv_std * (dxhat - m1 - xhat * m2),
+             (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0)]
+    return out, grads
+
+
 class TestLayerNorm:
+    @pytest.mark.parametrize("shape", MODEL_SHAPES, ids=str)
+    def test_equals_old_formulas(self, rng, shape):
+        operands = [rng.normal(size=shape), rng.uniform(0.5, 1.5, shape[-1]),
+                    rng.normal(size=shape[-1])]
+        g = rng.normal(size=shape)
+        x, gain, bias = (Tensor(v, requires_grad=True) for v in operands)
+        out = layer_norm(x, gain, bias)
+        out._backward_fn(g)
+        ref_out, ref_grads = _old_layer_norm(*operands, g)
+        np.testing.assert_array_equal(out.values, ref_out)
+        for t, ref in zip((x, gain, bias), ref_grads):
+            np.testing.assert_array_equal(t.grad, ref)
+
     def test_constant_row_is_zero(self):
         out = layer_norm(Tensor([[4.0, 4.0, 4.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
         np.testing.assert_allclose(out.values, 0.0, atol=1e-12)
@@ -393,6 +457,23 @@ class TestMaxPool:
     def test_kernel_must_divide(self):
         with pytest.raises(ConfigError):
             max_pool_within_token(Tensor(np.zeros((2, 5))), 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_equals_argmax_routing(self, rng, k):
+        # values from a few integers, so most windows hold ties; one window
+        # holds a NaN and one holds two, so each routes to its first NaN
+        x0 = rng.integers(-1, 2, size=(5, 7, 48)).astype(np.float64)
+        x0[0, 0, 3] = x0[1, 2, 5] = x0[1, 2, 6] = np.nan
+        g = rng.normal(size=(5, 7, 48 // k))
+        x = Tensor(x0, requires_grad=True)
+        out = max_pool_within_token(x, k)
+        out._backward_fn(g)
+        windows = x0.reshape(5, 7, 48 // k, k)
+        ref_grad = np.zeros_like(windows)
+        np.put_along_axis(ref_grad, windows.argmax(axis=-1)[..., None], g[..., None],
+                          axis=-1)
+        np.testing.assert_array_equal(out.values, windows.max(axis=-1))
+        np.testing.assert_array_equal(x.grad, ref_grad.reshape(x0.shape))
 
     def test_gradient(self, rng):
         # distinct values keep argmax stable under the FD perturbation
@@ -544,6 +625,45 @@ class TestBackward:
         assert out.requires_grad and out._backward_fn is not None
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values = np.array(values, dtype=np.float64)
+    values.setflags(write=False)
+    return values
+
+
+# kernel -> (build from input tensors, input shapes)
+EVERY_KERNEL = {
+    "linear": (linear, [(2, 7, 8), (8, 4), (4,)]),
+    "causal_attention": (lambda q, k, v: causal_attention(
+        q, k, v, 2, np.triu(np.ones((7, 7), dtype=bool), k=1)), [(2, 7, 8)] * 3),
+    "add": (add, [(2, 7, 8), (8,)]),
+    "sub": (sub, [(2, 7, 8), (7, 8)]),
+    "mul": (mul, [(2, 7, 8), (2, 7, 8)]),
+    "slice_rows": (lambda a: slice_rows(a, 3), [(7, 8)]),
+    "shift_right": (shift_right, [(2, 7, 8)]),
+    "gelu": (gelu, [(2, 7, 8)]),
+    "layer_norm": (layer_norm, [(2, 7, 8), (8,), (8,)]),
+    "max_pool_k1": (lambda a: max_pool_within_token(a, 1), [(2, 7, 8)]),
+    "max_pool_k4": (lambda a: max_pool_within_token(a, 4), [(2, 7, 8)]),
+    "linear_interp_upsample": (lambda a: linear_interp_upsample(a, 12), [(2, 7, 4)]),
+    "dropout": (lambda a: dropout(a, 0.5, np.random.default_rng(0)), [(2, 7, 8)]),
+    "mse": (lambda a: mse(a, _read_only(np.ones((2, 7, 8)))), [(2, 7, 8)]),
+}
+
+
+class TestWritesOnlyOwnArrays:
+    @pytest.mark.parametrize("name", sorted(EVERY_KERNEL))
+    def test_read_only_inputs_and_upstream(self, rng, name):
+        # any write into a caller's array, a parameter or the upstream
+        # gradient raises, because every one of them is read-only here
+        build, shapes = EVERY_KERNEL[name]
+        inputs = [Tensor(_read_only(rng.normal(size=s)), requires_grad=True)
+                  for s in shapes]
+        out = build(*inputs)
+        out._backward_fn(_read_only(rng.normal(size=out.shape)))
+        assert all(t.grad is not None for t in inputs)
+
+
 class TestAdam:
     def test_zero_gradient_no_move(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
@@ -597,6 +717,17 @@ class TestStructuralOps:
         x0 = rng.uniform(-2, 2, (5, 3))
         w = rng.uniform(-1, 1, (2, 3))
         check_gradient(lambda a: mse(slice_rows(a, 2), w), x0, rtol=1e-6)
+
+    @pytest.mark.parametrize("shape", MODEL_SHAPES, ids=str)
+    def test_gelu_equals_old_formulas(self, rng, shape):
+        x0, g = rng.normal(size=shape), rng.normal(size=shape)
+        x = Tensor(x0, requires_grad=True)
+        out = gelu(x)
+        out._backward_fn(g)
+        cdf = 0.5 * (1.0 + erf(x0 * (1.0 / np.sqrt(2.0))))
+        pdf = np.exp(-0.5 * x0 * x0) * (1.0 / np.sqrt(2.0 * np.pi))
+        np.testing.assert_array_equal(out.values, x0 * cdf)
+        np.testing.assert_array_equal(x.grad, g * (cdf + x0 * pdf))
 
     def test_gelu_gradient(self, rng):
         x0 = rng.uniform(-2, 2, (3, 4))

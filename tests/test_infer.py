@@ -8,7 +8,7 @@ from tokencast.infer import (
     _decode_batch,
     ar_forecast,
 )
-from tokencast.model import ModelConfig, init_model
+from tokencast.model import ModelConfig, init_model, paper_preset
 from tokencast.preprocess import instance_normalize
 
 T48_MODEL = ModelConfig(num_stages=1, pool_kernels=(2,), token_len=48, max_tokens=7,
@@ -127,6 +127,24 @@ class TestPerRowHorizons:
         # one per row, each in [1, 13], non-increasing, the longest exactly 13
         with pytest.raises(ConfigError):
             _decode_batch(tiny_params, np.zeros((3, 12)), 13, horizons=np.array(horizons))
+
+
+class TestBatchEqualsSoloAtModelWidth:
+    """The model's widths reach BLAS kernels that width-6 and width-8 models
+    never use, and a 1-token context takes a vector path of its own."""
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        return init_model(paper_preset(model_width=64, attention_heads=4,
+                                       feedforward_width=128))
+
+    @pytest.mark.parametrize("lookback", [48, 96, 336])  # 1, 2 and 7 tokens
+    def test_rows_match_one_row_decodes(self, params, rng, lookback):
+        lookbacks = rng.normal(size=(6, lookback))
+        batched, _, _, _ = _decode_batch(params, lookbacks, 96)
+        for r in range(6):
+            solo, _, _, _ = _decode_batch(params, lookbacks[r:r + 1], 96)
+            np.testing.assert_array_equal(batched[r], solo[0])
 
 
 class TestMultivariate:
