@@ -20,8 +20,8 @@ Accumulation is ``t.grad + g``, a new array, and ``adam_step`` only reads
 corrupt every array sharing it.
 
 A tape belongs to one logical thread. ``no_grad`` disables recording (used for
-validation and inference) for the calling thread only, so worker threads that
-decode under ``no_grad`` never switch recording off for another thread.
+validation and inference) for the calling thread only; every other thread
+keeps its own mode.
 """
 
 from __future__ import annotations

@@ -76,22 +76,27 @@ def _encode_config_block(config: ModelConfig, metadata: dict[str, str]) -> bytes
 
 
 def _decode_config_block(block: str) -> tuple[ModelConfig, dict[str, str]]:
+    """The config and metadata of a block that gives each model field and
+    ``meta.*`` key once; an unknown or repeated key is refused, since a later
+    line would otherwise replace an earlier one unseen."""
+    known = {f.name for f in fields(ModelConfig)}
     values: dict[str, str] = {}
-    metadata: dict[str, str] = {}
     for line in block.splitlines():
         if not line:
             continue
         key, _, value = line.partition("=")
-        if key.startswith("meta."):
-            metadata[key[5:]] = value
-        else:
-            values[key] = value
+        if key in values:
+            raise CheckpointFormatError(f"config block gives {key!r} twice")
+        if key not in known and not key.startswith("meta."):
+            raise CheckpointFormatError(f"config block key {key!r} unknown")
+        values[key] = value
     try:
         config = ModelConfig(**{f.name: parse_field(f, values[f.name])
                                 for f in fields(ModelConfig)})
     except (KeyError, ValueError) as exc:
         raise CheckpointFormatError(f"invalid config block: {exc}") from exc
-    return config, metadata
+    return config, {key[5:]: value for key, value in values.items()
+                    if key.startswith("meta.")}
 
 
 def _check_arrays(config: ModelConfig, arrays: dict[str, np.ndarray],

@@ -136,76 +136,54 @@ def _check_eval_settings(series: MultivariateSeries, split: DatasetSplit,
                           f"need {rows * needed} values, more than {MAX_ELEMENTS}")
 
 
-def _pickled_outcome(fn, k: int) -> bytes:
-    """``(True, fn(k))``, or ``(False, the exception it raised)``, pickled. An
-    exception that does not survive a pickle round trip (``NumericAbort``'s
-    keyword arguments break unpickling) travels as a RuntimeError that names
-    its type and message."""
-    try:
-        return pickle.dumps((True, fn(k)), pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        try:
-            data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
-            pickle.loads(data)
-            return data
-        except Exception:
-            return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-
-
 def _forked_map(fn, n: int) -> list:
-    """``[fn(0), ..., fn(n - 1)]``, with each ``fn(k)`` for k >= 1 in a child
-    made by ``os.fork``.
+    """``[fn(0), ..., fn(n - 1)]``, with each ``fn(k)`` for k >= 1 run in a
+    child made by ``os.fork`` where the OS can fork.
 
     This process runs fn(0) while the children run the rest, each on its own
     interpreter lock and sharing this process's arrays copy-on-write, so no
-    input is copied or pickled. A child pickles its outcome into its own pipe
-    and leaves by ``os._exit``. The first chunk that failed, in k order,
-    raises its exception; a child that exits without sending its outcome
-    raises a RuntimeError naming its exit status. Every child is reaped before
-    this returns or raises. With one chunk, or where the OS cannot fork, the
-    chunks run here in order.
+    input is copied or pickled. A child pickles its result into its own pipe
+    and leaves by ``os._exit``. Shares are deterministic, so a child only
+    saves time: every share whose child did not send back a whole pickled
+    result, because it raised, died, could not be forked or returned
+    something that does not pickle, runs again here after fn(0), in k order,
+    and raises here whatever it raises. Such a share runs twice. Every child
+    is reaped before any share runs again.
     """
-    if n == 1 or not hasattr(os, "fork"):
-        return [fn(k) for k in range(n)]
-    children, received, statuses = [], [], []  # (pid, read end); bytes; codes
+    children, received = [], {}  # (k, pid, read end); k -> bytes
     try:
-        for k in range(1, n):
+        for k in range(1, n) if hasattr(os, "fork") else ():
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:
+            except OSError:  # e.g. EAGAIN: share k runs here instead
                 os.close(read_fd)
                 os.close(write_fd)
-                raise
+                continue
             if pid == 0:  # the child never returns into the caller
-                code = 1
                 try:
                     with open(write_fd, "wb") as pipe:
-                        pipe.write(_pickled_outcome(fn, k))
-                    code = 0
+                        pipe.write(pickle.dumps(fn(k), pickle.HIGHEST_PROTOCOL))
                 finally:
-                    os._exit(code)
+                    os._exit(0)
             os.close(write_fd)  # so a child that dies reads as EOF
-            children.append((pid, read_fd))
-        try:
-            first = (True, fn(0))
-        except Exception as exc:
-            first = (False, exc)
-        for _, read_fd in children:
+            children.append((k, pid, read_fd))
+        results = [fn(0)]
+        for k, _, read_fd in children:
             with open(read_fd, "rb", closefd=False) as pipe:
-                received.append(pipe.read())
+                received[k] = pipe.read()
     finally:
-        for pid, read_fd in children:
+        for _, pid, read_fd in children:
             os.close(read_fd)  # a child still writing fails and exits
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    outcomes = [first]
-    for k, (data, code) in enumerate(zip(received, statuses), start=1):
-        outcomes.append(pickle.loads(data) if code == 0 else (False, RuntimeError(
-            f"evaluate worker {k} exited with status {code} before sending its result")))
-    for ok, value in outcomes:
-        if not ok:
-            raise value
-    return [value for _, value in outcomes]
+            os.waitpid(pid, 0)
+    for k in range(1, n):
+        try:
+            results.append(pickle.loads(received[k]))
+            continue
+        except Exception:  # share k came back incomplete or not at all
+            pass
+        results.append(fn(k))  # outside the handler, so its error has no context
+    return results
 
 
 def evaluate(
@@ -232,11 +210,13 @@ def evaluate(
     work: reports are bit-identical at any count. ``threads`` is the number of
     workers: this process decodes one share of the rows and, where the OS can
     fork, a forked child process decodes each other share on its own
-    interpreter lock (elsewhere the shares run here in turn). So with
-    ``threads > 1`` a ``forecast_fn`` also runs in those children, and side
-    effects it has there, such as appending to a list, are not seen by the
-    caller. A horizon listed twice is scored twice; ``EvalSettings`` refuses
-    one, so ``run_protocol`` never passes it.
+    interpreter lock. A share whose child fails, dies or cannot be forked is
+    decoded here afterwards, and any error it raises is raised here. So with
+    ``threads > 1`` a ``forecast_fn`` also runs in those children, where side
+    effects it has, such as appending to a list, are not seen by the caller,
+    and it may run twice on a share's rows: once in the child and once here.
+    A horizon listed twice is scored twice; ``EvalSettings`` refuses one, so
+    ``run_protocol`` never passes it.
     """
     _check_eval_settings(series, split, EvalSettings(
         horizons=tuple(set(horizons)), lookback=lookback_len, stride=stride), threads)

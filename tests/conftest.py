@@ -56,8 +56,9 @@ def check_gradient(build_loss, x0: np.ndarray, rtol: float = 1e-4, step: float =
     return err
 
 
-def serialize_with_config(ckpt, **changes) -> bytes:
-    """``ckpt`` serialized, then ``changes`` written into its config block.
+def serialize_with_config(ckpt, *extra_lines, **changes) -> bytes:
+    """``ckpt`` serialized, then ``changes`` written into its config block and
+    ``extra_lines`` appended to it.
 
     A ``ModelConfig`` refuses a bad value when it is built, so a file that
     carries one is made by editing the block in the bytes.
@@ -66,7 +67,8 @@ def serialize_with_config(ckpt, **changes) -> bytes:
     (length,) = struct.unpack_from("<Q", data, 8)
     lines = dict(line.split("=", 1) for line in data[16:16 + length].decode().splitlines())
     lines.update((key, format_value(value)) for key, value in changes.items())
-    block = "\n".join(f"{key}={value}" for key, value in lines.items()).encode()
+    block = "\n".join([f"{key}={value}" for key, value in lines.items()]
+                      + list(extra_lines)).encode()
     return data[:8] + struct.pack("<Q", len(block)) + block + data[16 + length:]
 
 

@@ -110,6 +110,12 @@ class TestConfigAgreement:
         with pytest.raises(ConfigError, match="pool kernel"):
             replace(ckpt.config, pool_kernels=pool_kernels)
 
+    @pytest.mark.parametrize("line", ["learning_rat=0.5", "token_len=4", "meta.seed=9"])
+    def test_unknown_or_repeated_key_rejected(self, line):
+        # a repeated line would silently replace the first one
+        with pytest.raises(CheckpointFormatError, match=line.split("=")[0]):
+            deserialize(serialize_with_config(small_checkpoint(), line))
+
     def test_missing_array(self):
         ckpt = small_checkpoint()
         del ckpt.arrays["stage1.head.bias"]

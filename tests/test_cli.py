@@ -755,6 +755,20 @@ class TestEvaluateCommand:
             reports.add((out / "report.csv").read_bytes())
         assert len(reports) == 1
 
+    def test_failed_fork_decodes_every_share_here(self, tmp_path, synth_csv, pretrained,
+                                                  monkeypatch):
+        cfg = self.eval_cfg(tmp_path, synth_csv)
+        assert main(["evaluate", str(pretrained), str(cfg), str(tmp_path / "one")]) == 0
+
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert main(["--threads", "3", "evaluate", str(pretrained), str(cfg),
+                     str(tmp_path / "three")]) == 0
+        assert ((tmp_path / "three" / "report.csv").read_bytes()
+                == (tmp_path / "one" / "report.csv").read_bytes())
+
     def test_zero_shot_on_source_exits_5(self, tmp_path, synth_csv, pretrained):
         cfg = self.eval_cfg(tmp_path, synth_csv, "protocol = zero-shot\n")
         assert main(["evaluate", str(pretrained), str(cfg), str(tmp_path / "z")]) == 5

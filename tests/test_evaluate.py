@@ -52,6 +52,15 @@ def tiny_ckpt():
     return ckpt
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    # evaluate's workers beyond the first are forked children, and no test
+    # here starts any other process, so none may outlive its test
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestMetrics:
     def test_identity(self, rng):
         x = rng.normal(size=(3, 5))
@@ -249,21 +258,12 @@ class TestMemoryLayout:
                 == evaluate(tiny_ckpt, floats, split, [4, 8], lookback_len=12, stride=3))
 
 
-@pytest.fixture
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def persistence(lookbacks, horizon):
     return np.repeat(lookbacks[:, -1:], horizon, axis=1)
 
 
-@pytest.mark.usefixtures("no_child_left")
 class TestForkedWorkers:
-    # evaluate's workers beyond the first are forked children; every case
-    # also checks that no child outlives the call
+    # a share whose child does not send back its result runs in the caller
     def test_nan_seen_only_by_worker_1_raises_its_data_error(self, tiny_ckpt):
         series = sine_series("t", 48, length=300, seed=3)
         split = chronological_split(series, 0.6, 0.2, 0.2)
@@ -275,7 +275,7 @@ class TestForkedWorkers:
                 evaluate(tiny_ckpt, series, split, [4], lookback_len=12, stride=12,
                          threads=threads)
 
-    def test_child_that_exits_names_its_status(self):
+    def test_child_that_exits_has_its_rows_decoded_here(self):
         series = sine_series("s", 24, length=400, channels=2)
         split = chronological_split(series, 0.6, 0.2, 0.2)
         caller = os.getpid()
@@ -285,11 +285,12 @@ class TestForkedWorkers:
                 os._exit(3)
             return persistence(lookbacks, horizon)
 
-        with pytest.raises(RuntimeError, match="exited with status 3 before"):
-            evaluate(None, series, split, [8], lookback_len=16, forecast_fn=exits_in_child,
-                     threads=3)
+        serial = evaluate(None, series, split, [8], lookback_len=16,
+                          forecast_fn=persistence)
+        assert evaluate(None, series, split, [8], lookback_len=16,
+                        forecast_fn=exits_in_child, threads=3) == serial
 
-    def test_first_failure_in_chunk_order_raises_unpicklable_as_runtime_error(self):
+    def test_first_failure_in_chunk_order_raises_as_itself(self):
         def fn(k):
             if k == 1:
                 raise NumericAbort("diverged", epoch=1, batch=2, learning_rate=0.5)
@@ -298,8 +299,39 @@ class TestForkedWorkers:
             return k
 
         assert _forked_map(lambda k: k * k, 3) == [0, 1, 4]
-        with pytest.raises(RuntimeError, match="^NumericAbort: diverged$"):
+        with pytest.raises(NumericAbort, match="^diverged$") as info:
             _forked_map(fn, 3)
+        abort = info.value
+        assert (abort.epoch, abort.batch, abort.learning_rate) == (1, 2, 0.5)
+        assert abort.exit_code == 4
+        assert abort.__context__ is None
+
+    def test_result_that_does_not_pickle_is_returned(self):
+        parts = _forked_map(lambda k: lambda: k * k, 3)
+        assert [part() for part in parts] == [0, 1, 4]
+
+    def test_one_worker_never_forks(self, monkeypatch):
+        def refuse():
+            raise AssertionError("one worker must not fork")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(os, "pipe", refuse)
+        assert _forked_map(lambda k: k + 5, 1) == [5]
+
+    def test_failed_fork_runs_every_share_here(self, tiny_ckpt, monkeypatch):
+        series = sine_series("t", 48, length=300, seed=3)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        serial = evaluate(tiny_ckpt, series, split, [4, 8], lookback_len=12, stride=2)
+        attempts = []
+
+        def fork():
+            attempts.append(1)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert evaluate(tiny_ckpt, series, split, [4, 8], lookback_len=12, stride=2,
+                        threads=3) == serial
+        assert len(attempts) == 2
 
     def test_without_fork_matches_one_worker(self, tiny_ckpt, monkeypatch):
         series = sine_series("t", 48, length=300, seed=3)
