@@ -91,7 +91,7 @@ def _mixed_pair(datasets):
 def cmd_pretrain(args):
     run = parse_run_config(args.config)
     model_cfg = run.model_config(preset=args.preset, seed=args.seed)
-    train_cfg = run.train_config("all", seed=args.seed)
+    train_cfg = run.train_config(seed=args.seed)
     train_mixed, val_mixed = _mixed_pair(run.load_datasets())
     ckpt, history = pretrain(model_cfg, train_cfg, train_mixed, val_mixed)
     best = ckpt.metadata.get("best_val_mse", "nan")
@@ -104,15 +104,16 @@ def cmd_pretrain(args):
 
 def cmd_finetune(args):
     run = parse_run_config(args.config)
-    train_cfg = run.train_config("all" if args.full_tune else "head", seed=args.seed)
+    train_cfg = run.train_config(seed=args.seed)
     source = ckpt_io.load_checkpoint(args.checkpoint)
     train_mixed, val_mixed = _mixed_pair(run.load_datasets())
-    tuned, history = finetune_heads(source, train_cfg, train_mixed, val_mixed)
+    tuned, history = finetune_heads(source, train_cfg, train_mixed, val_mixed,
+                                    full_tune=args.full_tune)
     return {"model.ckpt": ckpt_io.serialize(tuned),
             "loss.csv": loss_curve_to_csv(history),
             "resolved.cfg": render_resolved(model=tuned.config, train=train_cfg,
                                             data=run.resolved_data()),
-            }, f"finetuned ({train_cfg.scope} scope), {len(history)} epochs"
+            }, f"finetuned ({tuned.metadata['scope']} scope), {len(history)} epochs"
 
 
 def cmd_forecast(args):
@@ -129,7 +130,7 @@ def cmd_forecast(args):
 def cmd_evaluate(args):
     run = parse_run_config(args.config)
     settings = run.eval_settings()
-    train_cfg = (run.train_config("head", seed=args.seed)
+    train_cfg = (run.train_config(seed=args.seed)
                  if settings.protocol == "few-shot" else None)
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     report = run_protocol(ckpt, run.load_datasets(), settings, train_cfg, args.threads)

@@ -10,7 +10,8 @@ metadata names, else by the type of its default) and formatted back by
 the dataclasses is read and written back without another edit. Each
 dataclass checks its values in ``__post_init__``, so a settings object with a
 bad value cannot be built, here or anywhere else. The only other key is
-[data]'s ``split.<name>``, one dataset's ratios.
+[data]'s ``split.<name>``, one dataset's ratios. [train] has no scope key: the
+command that trains picks which arrays it updates.
 
 Unknown sections or keys are rejected. Every command echoes the fully
 resolved configuration (defaults included, dataset paths absolute) into its
@@ -74,15 +75,8 @@ class RunConfig:
             return self._build("model", PAPER_PRESET, seed=seed)
         return self._build("model", seed=seed)
 
-    def train_config(self, scope: str, seed: int | None = None) -> TrainConfig:
-        """[train] for a command that trains ``scope``. The command alone picks
-        the scope; a [train] scope key, as resolved.cfg files carry, must name
-        that same scope."""
-        given = self.sections.get("train", {}).get("scope", scope)
-        if given != scope:
-            raise ConfigError(f"[train] scope = {given}, but this command trains "
-                              f"scope {scope}")
-        return self._build("train", seed=seed, scope=scope)
+    def train_config(self, seed: int | None = None) -> TrainConfig:
+        return self._build("train", seed=seed)
 
     def _build(self, section: str, base: dict | None = None, **overrides):
         """The section's dataclass built from ``base``, then the section's

@@ -145,21 +145,23 @@ def _forked_map(fn, n: int) -> list:
     input is copied or pickled. A child pickles its result into its own pipe
     and leaves by ``os._exit``. Shares are deterministic, so a child only
     saves time: every share whose child did not send back a whole pickled
-    result, because it raised, died, could not be forked or returned
-    something that does not pickle, runs again here after fn(0), in k order,
-    and raises here whatever it raises. Such a share runs twice. Every child
-    is reaped before any share runs again.
+    result, because it raised, died, got no pipe, could not be forked or
+    returned something that does not pickle, runs again here after fn(0), in
+    k order, and raises here whatever it raises. Such a share runs twice.
+    Every child is reaped before any share runs again.
     """
     children, received = [], {}  # (k, pid, read end); k -> bytes
     try:
         for k in range(1, n) if hasattr(os, "fork") else ():
-            read_fd, write_fd = os.pipe()
+            fds = []
             try:
+                fds += os.pipe()
                 pid = os.fork()
-            except OSError:  # e.g. EAGAIN: share k runs here instead
-                os.close(read_fd)
-                os.close(write_fd)
+            except OSError:  # e.g. EMFILE or EAGAIN: share k runs here instead
+                for fd in fds:
+                    os.close(fd)
                 continue
+            read_fd, write_fd = fds
             if pid == 0:  # the child never returns into the caller
                 try:
                     with open(write_fd, "wb") as pipe:
@@ -215,11 +217,9 @@ def evaluate(
     ``threads > 1`` a ``forecast_fn`` also runs in those children, where side
     effects it has, such as appending to a list, are not seen by the caller,
     and it may run twice on a share's rows: once in the child and once here.
-    A horizon listed twice is scored twice; ``EvalSettings`` refuses one, so
-    ``run_protocol`` never passes it.
     """
     _check_eval_settings(series, split, EvalSettings(
-        horizons=tuple(set(horizons)), lookback=lookback_len, stride=stride), threads)
+        horizons=tuple(horizons), lookback=lookback_len, stride=stride), threads)
     if forecast_fn is not None:
         decode = _grouped_decoder(forecast_fn)
     elif ckpt is None:

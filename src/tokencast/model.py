@@ -125,6 +125,8 @@ class ModelParams:
 
     def trainable(self, scope: str = "all") -> dict[str, Tensor]:
         """The arrays of ``scope`` ("all" or a layout scope), in layout order."""
+        if scope not in ("all", SCOPE_HEAD, SCOPE_NON_HEAD):
+            raise ConfigError(f"unknown scope {scope!r}")
         return {name: self.arrays[name] for name, _, s in parameter_layout(self.config)
                 if scope in ("all", s)}
 
@@ -211,8 +213,6 @@ def init_model(config: ModelConfig) -> ModelParams:
 
 def count_parameters(params: ModelParams, scope: str = "all") -> int:
     """Exact scalar count over arrays of the given scope."""
-    if scope not in ("all", SCOPE_HEAD, SCOPE_NON_HEAD):
-        raise ConfigError(f"unknown scope {scope!r}")
     return sum(t.size for t in params.trainable(scope).values())
 
 

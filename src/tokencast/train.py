@@ -7,6 +7,9 @@ token (horizon = token length). Each lookback is tokenized and normalized by
 stats. The loss compares values mapped back to series units; in normalized
 space the minimizer is the same, but series units match the
 de-normalize-then-score ordering the pipeline defines.
+
+The function that trains picks which arrays it updates: ``pretrain`` all of
+them, ``finetune_heads`` the forecast heads, or all of them with ``full_tune``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ class TrainConfig:
     stride: int = 1
     patience: int = 3
     seed: int = 0
-    scope: str = "all"  # "all" or "head"
 
     def __post_init__(self) -> None:
         for name, low in (("epochs", 0), ("batch_size", 1), ("stride", 1),
@@ -52,8 +54,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
             raise ConfigError(f"adam_eps must be positive and finite, got {self.adam_eps}")
-        if self.scope not in ("all", "head"):
-            raise ConfigError(f"scope must be 'all' or 'head', got {self.scope!r}")
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,13 @@ def check_windows(config: ModelConfig, train_mixed: MixedDataset,
 
 def _fit(
     params: ModelParams,
+    scope: str,
     train_config: TrainConfig,
     train_mixed: MixedDataset,
     val_mixed: MixedDataset,
 ) -> tuple[list[EpochStats], dict[str, str]]:
-    """Adam over the configured scope with validation-best early stopping.
+    """Adam over the arrays of ``scope`` ("all" or "head") with
+    validation-best early stopping.
 
     Leaves ``params`` at the arrays with the best validation MSE (the initial
     arrays, epoch 0, if no epoch improves on them). Returns the per-epoch
@@ -145,7 +147,7 @@ def _fit(
     val_windows = sample_windows(val_mixed, lookback_len, horizon_len,
                                  stride=train_config.stride, seed=0)
 
-    trainable = params.trainable(train_config.scope)
+    trainable = params.trainable(scope)
     # frozen arrays drop out of the tape entirely, which keeps head-only
     # tuning cheap and guarantees their values and grads stay untouched
     for name, t in params.arrays.items():
@@ -206,7 +208,7 @@ def _fit(
         "epoch": str(best_epoch),
         "best_val_mse": repr(float(best_val)),
         "seed": str(train_config.seed),
-        "scope": train_config.scope,
+        "scope": scope,
     }
 
 
@@ -220,10 +222,8 @@ def pretrain(
 
     Returns the best-validation checkpoint plus the per-epoch loss curve.
     """
-    if train_config.scope != "all":
-        raise ConfigError("pretraining updates all parameters; scope must be 'all'")
     params = init_model(model_config)
-    history, metadata = _fit(params, train_config, train_mixed, val_mixed)
+    history, metadata = _fit(params, "all", train_config, train_mixed, val_mixed)
     metadata["train_sources"] = ",".join(_sources_of(train_mixed))
     return from_params(params, metadata), history
 
@@ -233,16 +233,19 @@ def finetune_heads(
     train_config: TrainConfig,
     train_mixed: MixedDataset,
     val_mixed: MixedDataset,
+    full_tune: bool = False,
 ) -> tuple[Checkpoint, list[EpochStats]]:
-    """Continue training from a checkpoint, updating only the configured scope.
+    """Continue training from a checkpoint, updating only its forecast heads,
+    or every array with ``full_tune``.
 
-    With scope "head" every non-head array of the result is bit-identical to
-    the source checkpoint; zero epochs returns an exact copy. The
+    Without ``full_tune`` every non-head array of the result is bit-identical
+    to the source checkpoint; zero epochs returns an exact copy. The
     ``finetuned_on`` metadata keeps the source checkpoint's names, in order,
     and appends this run's sources that it lacks.
     """
     params = to_params(ckpt)
-    history, fit_metadata = _fit(params, train_config, train_mixed, val_mixed)
+    history, fit_metadata = _fit(params, "all" if full_tune else "head",
+                                 train_config, train_mixed, val_mixed)
     earlier = [s for s in ckpt.metadata.get("finetuned_on", "").split(",") if s]
     metadata = {**ckpt.metadata, **fit_metadata,
                 "finetuned_on": ",".join(dict.fromkeys(earlier + _sources_of(train_mixed)))}

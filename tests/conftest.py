@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -75,3 +76,13 @@ def serialize_with_config(ckpt, *extra_lines, **changes) -> bytes:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    # evaluate's workers beyond the first are forked children, and the only
+    # other processes tests start are reaped by subprocess.run, so none may
+    # outlive its test
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

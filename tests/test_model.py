@@ -115,8 +115,10 @@ class TestCountParameters:
         )
 
     def test_unknown_scope(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown scope 'everything'"):
             count_parameters(tiny_params(), "everything")
+        with pytest.raises(ConfigError, match="unknown scope 'bogus'"):
+            tiny_params().trainable("bogus")
 
 
 class TestAttention:

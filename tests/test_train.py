@@ -133,13 +133,6 @@ class TestPretrain:
         _, history = pretrain(TINY_MODEL, TrainConfig(epochs=1, stride=7), train, val)
         assert len(history) == 1
 
-    def test_head_scope_rejected_for_pretrain(self):
-        series = sine_series("s", 24, length=200)
-        train = mixed_from([series], "train")
-        val = mixed_from([series], "validation", ratios=(0.5, 0.3, 0.2))
-        with pytest.raises(ConfigError, match="scope"):
-            pretrain(TINY_MODEL, TrainConfig(epochs=1, scope="head"), train, val)
-
     def test_sine_beats_persistence_on_validation(self):
         from tokencast.evaluate import naive_baselines
 
@@ -221,17 +214,18 @@ class TestFinetune:
         ckpt = self.pretrained()
         train, val = self.target_mixed()
         tuned, history = finetune_heads(
-            ckpt, TrainConfig(epochs=0, scope="head"), train, val
+            ckpt, TrainConfig(epochs=0), train, val
         )
         assert history == []
         for name in ckpt.arrays:
             np.testing.assert_array_equal(tuned.arrays[name], ckpt.arrays[name])
 
     def test_only_heads_move(self):
+        # a default TrainConfig: finetune_heads alone picks the heads
         ckpt = self.pretrained()
         train, val = self.target_mixed()
         tuned, _ = finetune_heads(
-            ckpt, TrainConfig(epochs=2, stride=4, scope="head", patience=10), train, val
+            ckpt, TrainConfig(epochs=2, stride=4, patience=10), train, val
         )
         changed = []
         for name, _, scope in parameter_layout(ckpt.config):
@@ -246,17 +240,18 @@ class TestFinetune:
         ckpt = self.pretrained()
         train, val = self.target_mixed()
         tuned, _ = finetune_heads(
-            ckpt, TrainConfig(epochs=1, stride=4, scope="all", patience=10), train, val
+            ckpt, TrainConfig(epochs=1, stride=4, patience=10), train, val, full_tune=True
         )
         moved = [n for n, _, scope in parameter_layout(ckpt.config) if scope == "non-head"
                  and not np.array_equal(tuned.arrays[n], ckpt.arrays[n])]
         assert moved
+        assert tuned.metadata["scope"] == "all"
 
     def test_metadata_updated(self):
         ckpt = self.pretrained()
         train, val = self.target_mixed()
         tuned, _ = finetune_heads(
-            ckpt, TrainConfig(epochs=1, stride=4, scope="head"), train, val
+            ckpt, TrainConfig(epochs=1, stride=4), train, val
         )
         assert tuned.metadata["scope"] == "head"
         assert tuned.metadata["finetuned_on"] == "tgt"
@@ -264,11 +259,11 @@ class TestFinetune:
 
     def test_chained_finetune_keeps_earlier_targets(self):
         ckpt = self.pretrained()
-        tuned, _ = finetune_heads(ckpt, TrainConfig(epochs=0, scope="head"),
+        tuned, _ = finetune_heads(ckpt, TrainConfig(epochs=0),
                                   *self.target_mixed())
         both = [sine_series("other", 24, length=300, seed=6),
                 sine_series("tgt", 48, length=300, seed=4)]
-        again, _ = finetune_heads(tuned, TrainConfig(epochs=0, scope="head"),
+        again, _ = finetune_heads(tuned, TrainConfig(epochs=0),
                                   mixed_from(both, "train"),
                                   mixed_from(both, "validation", ratios=(0.5, 0.3, 0.2)))
         # earlier names first, in order and without repeats
