@@ -168,7 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override every configured seed")
     parser.add_argument("--threads", type=int, default=1,
                         help="workers for window evaluation: this process and "
-                             "forked children, where the OS can fork")
+                             "forked children, where the OS can fork; each keeps "
+                             "its BLAS's own thread pool, so above 1 set "
+                             "OPENBLAS_NUM_THREADS=1 (or OMP_NUM_THREADS or "
+                             "MKL_NUM_THREADS) or it may run slower than 1")
     parser.add_argument("--force", action="store_true",
                         help="allow writing into a non-empty output directory")
     parser.add_argument("--preset", default=None, choices=("paper",),

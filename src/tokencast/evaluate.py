@@ -1,4 +1,4 @@
-"""Metrics, naive baseline oracles, and the evaluation protocols.
+"""Metrics and the evaluation protocols.
 
 ``evaluate`` slides windows over a dataset's test range and scores forecasts
 per horizon. ``run_protocol`` is the one entry point for the three protocols
@@ -74,26 +74,6 @@ def metrics(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
         raise ShapeError(f"metrics shapes disagree: {pred.shape} vs {truth.shape}")
     diff = pred - truth
     return float((diff * diff).mean()), float(np.abs(diff).mean())
-
-
-def naive_baselines(
-    lookback: np.ndarray, horizon: int, season_period: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Persistence (repeat last value) and seasonal-naive (repeat last season)."""
-    lookback = np.asarray(lookback, dtype=np.float64)
-    if season_period < 1:
-        raise ConfigError(f"season period must be >= 1, got {season_period}")
-    if season_period > lookback.shape[-1]:
-        raise ConfigError(
-            f"season period {season_period} exceeds lookback length "
-            f"{lookback.shape[-1]}"
-        )
-    persistence = np.broadcast_to(
-        lookback[..., -1:], lookback.shape[:-1] + (horizon,)
-    ).copy()
-    season = lookback[..., -season_period:]
-    idx = np.arange(horizon) % season_period
-    return persistence, season[..., idx]
 
 
 def _grouped_decoder(forecast_fn):
@@ -207,9 +187,11 @@ def evaluate(
     model (signature: (M, L) lookbacks, horizon -> (M, horizon)); it is called
     once per distinct decode length with the rows that need that length, and
     its forecast at H must be the first H points of its forecast at any longer
-    horizon, as it is for auto-regressive decoding and the naive baselines.
-    Results are deterministic and row-independent, so ``threads`` only splits
-    work: reports are bit-identical at any count. ``threads`` is the number of
+    horizon, as it is for auto-regressive decoding and for persistence.
+    Results are deterministic and row-independent (``_decode_batch`` says
+    how far that rests on the BLAS, which tests pin with a 448-origin report
+    at the paper preset), so ``threads`` only splits work: reports are
+    bit-identical at any count. ``threads`` is the number of
     workers: this process decodes one share of the rows and, where the OS can
     fork, a forked child process decodes each other share on its own
     interpreter lock. A share whose child fails, dies or cannot be forked is

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import Field, dataclass, field
+from dataclasses import Field, dataclass
 
 import numpy as np
 
@@ -132,19 +132,9 @@ class ModelParams:
 
 
 @dataclass
-class StageActivation:
-    """Intermediates of one stage for inspection and structural tests."""
-
-    stage_input: Tensor       # (..., L', T) tokens the stage received
-    pooled: Tensor            # (..., L', T/k)
-    prediction: Tensor        # (..., L', T): position j predicts token j+1
-
-
-@dataclass
 class ModelOutput:
     prediction: Tensor                 # sum of stage predictions, (..., L', T)
-    stages: list[StageActivation] = field(default_factory=list)
-    final_residual: Tensor = None      # type: ignore[assignment]
+    stages: list[Tensor]               # each stage's prediction, (..., L', T)
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -259,10 +249,11 @@ def stage_forward(
     stage: int,
     tokens: Tensor,
     rng: np.random.Generator | None = None,
-) -> StageActivation:
+) -> Tensor:
     """One stage: pool -> embed + position -> causal stack -> head -> upsample.
 
-    tokens is (..., L', T) with L' <= max_tokens (callers window first).
+    tokens is (..., L', T) with L' <= max_tokens (callers window first). The
+    (..., L', T) prediction's position j predicts token j+1.
     """
     cfg = params.config
     tokens = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
@@ -283,8 +274,7 @@ def stage_forward(
         h = _transformer_layer(h, params, f"{pre}layer{l}.", rng)
     h = layer_norm(h, a[pre + "final_ln.gain"], a[pre + "final_ln.bias"])
     small = linear(h, a[pre + "head.weight"], a[pre + "head.bias"])
-    prediction = linear_interp_upsample(small, cfg.token_len)
-    return StageActivation(stage_input=tokens, pooled=pooled, prediction=prediction)
+    return linear_interp_upsample(small, cfg.token_len)
 
 
 def model_forward(
@@ -298,13 +288,12 @@ def model_forward(
     j+1. The residual chain keeps the first token of every stage input equal
     to the original first token (the shifted stage output is zero there).
     """
-    tokens = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
-    x_in = tokens
+    x_in = tokens if isinstance(tokens, Tensor) else Tensor(tokens)
     total: Tensor | None = None
-    stages: list[StageActivation] = []
+    stages: list[Tensor] = []
     for i in range(params.config.num_stages):
-        act = stage_forward(params, i, x_in, rng)
-        stages.append(act)
-        total = act.prediction if total is None else add(total, act.prediction)
-        x_in = sub(x_in, shift_right(act.prediction))
-    return ModelOutput(prediction=total, stages=stages, final_residual=x_in)
+        if stages:
+            x_in = sub(x_in, shift_right(stages[-1]))
+        stages.append(stage_forward(params, i, x_in, rng))
+        total = stages[-1] if total is None else add(total, stages[-1])
+    return ModelOutput(prediction=total, stages=stages)

@@ -6,6 +6,7 @@ import pytest
 
 from tokencast.autodiff import Tensor, backward
 from tokencast.checkpoint import serialize
+from tokencast.errors import ConfigError
 from tokencast.model import format_value
 
 
@@ -55,6 +56,38 @@ def check_gradient(build_loss, x0: np.ndarray, rtol: float = 1e-4, step: float =
     err = relative_error(analytic, numeric)
     assert err < rtol, f"gradient mismatch: rel err {err:.3e} >= {rtol}"
     return err
+
+
+def naive_baselines(
+    lookback: np.ndarray, horizon: int, season_period: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Persistence (repeat last value) and seasonal-naive (repeat last season)."""
+    lookback = np.asarray(lookback, dtype=np.float64)
+    if season_period < 1:
+        raise ConfigError(f"season period must be >= 1, got {season_period}")
+    if season_period > lookback.shape[-1]:
+        raise ConfigError(
+            f"season period {season_period} exceeds lookback length "
+            f"{lookback.shape[-1]}"
+        )
+    persistence = np.broadcast_to(
+        lookback[..., -1:], lookback.shape[:-1] + (horizon,)
+    ).copy()
+    season = lookback[..., -season_period:]
+    idx = np.arange(horizon) % season_period
+    return persistence, season[..., idx]
+
+
+def residual_chain(tokens, stages) -> list[np.ndarray]:
+    """Every stage's input, then the residual the last stage leaves, rebuilt
+    from ``ModelOutput.stages`` by the residual rule: stage i+1 receives stage
+    i's input minus stage i's prediction shifted right by one token."""
+    chain = [np.asarray(tokens, dtype=np.float64)]
+    for prediction in stages:
+        shifted = np.zeros_like(prediction.values)
+        shifted[..., 1:, :] = prediction.values[..., :-1, :]
+        chain.append(chain[-1] - shifted)
+    return chain
 
 
 def serialize_with_config(ckpt, *extra_lines, **changes) -> bytes:

@@ -23,7 +23,7 @@ from tokencast.data import (
     synth_generate,
 )
 from tokencast.errors import ProtocolError
-from tokencast.evaluate import EvalSettings, evaluate, naive_baselines, run_protocol
+from tokencast.evaluate import EvalSettings, evaluate, run_protocol
 from tokencast.infer import ForecastRequest, ar_forecast
 from tokencast.model import (
     ModelConfig,
@@ -37,7 +37,7 @@ from tokencast.model import (
 from tokencast.preprocess import denormalize, instance_normalize
 from tokencast.train import TrainConfig, finetune_heads, pretrain
 
-from conftest import central_difference, relative_error
+from conftest import central_difference, naive_baselines, relative_error, residual_chain
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -249,12 +249,18 @@ class TestCriterion4ResidualStructure:
                                         feedforward_width=8, seed=21))
         tokens = rng.normal(size=(3, 8))
         out = model_forward(params, tokens)
-        first_ok = all(
-            np.array_equal(act.stage_input.values[0], tokens[0]) for act in out.stages
+        # every stage input and the final residual, by the residual rule; each
+        # stage run alone on its input gives its prediction bit for bit
+        chain = residual_chain(tokens, out.stages)
+        chain_ok = all(
+            np.array_equal(stage_forward(params, i, Tensor(chain[i])).values,
+                           prediction.values)
+            for i, prediction in enumerate(out.stages)
         )
+        first_ok = all(np.array_equal(x[0], tokens[0]) for x in chain)
         shifted = np.zeros_like(tokens)
         shifted[1:] = out.prediction.values[:-1]
-        residual_err = float(np.abs((tokens - shifted) - out.final_residual.values).max())
+        residual_err = float(np.abs((tokens - shifted) - chain[-1]).max())
 
         plain_cfg = ModelConfig(num_stages=1, pool_kernels=(1,), token_len=8,
                                 max_tokens=3, model_width=8, layers_per_stage=1,
@@ -262,11 +268,12 @@ class TestCriterion4ResidualStructure:
         plain = init_model(plain_cfg)
         full = model_forward(plain, tokens)
         single = stage_forward(plain, 0, Tensor(tokens))
+        pooled = max_pool_within_token(Tensor(tokens), plain_cfg.pool_kernels[0])
         plain_ok = (
-            np.array_equal(full.prediction.values, single.prediction.values)
-            and np.array_equal(single.pooled.values, tokens)
+            np.array_equal(full.prediction.values, single.values)
+            and np.array_equal(pooled.values, tokens)
         )
-        report(4, first_ok and residual_err < 1e-10 and plain_ok,
+        report(4, chain_ok and first_ok and residual_err < 1e-10 and plain_ok,
                f"first-token invariance, telescoping err {residual_err:.1e}, "
                f"S=1/k=1 is the plain causal patch transformer")
 

@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tokencast.checkpoint import checkpoint_hash
+from tokencast.checkpoint import checkpoint_hash, from_params
 from tokencast.data import (
+    DatasetSplit,
+    MultivariateSeries,
     NoiseComponent,
     SineComponent,
     SynthSpec,
@@ -25,12 +27,13 @@ from tokencast.evaluate import (
     evaluate,
     format_table,
     metrics,
-    naive_baselines,
     report_to_csv,
     run_protocol,
 )
-from tokencast.model import ModelConfig, parameter_layout
+from tokencast.model import ModelConfig, init_model, paper_preset, parameter_layout
 from tokencast.train import TrainConfig, finetune_heads, pretrain
+
+from conftest import naive_baselines
 
 TINY = ModelConfig(num_stages=2, pool_kernels=(2, 1), token_len=4, max_tokens=3,
                    model_width=6, layers_per_stage=1, attention_heads=2,
@@ -154,6 +157,20 @@ class TestEvaluate:
         a = evaluate(tiny_ckpt, series, split, [8], lookback_len=12, stride=2)
         b = evaluate(tiny_ckpt, series, split, [8], lookback_len=12, stride=2, threads=3)
         assert a.rows == b.rows
+
+    def test_paper_preset_report_past_the_blas_switch_equal_at_any_threads(self):
+        # 448 origins at H=48 and 400 at H=96: one worker decodes GEMMs of 3136
+        # rows and three of about 1050, on both sides of the size where
+        # OpenBLAS switches the 64 -> 12 head to a kernel with other bits
+        ckpt = from_params(init_model(paper_preset(model_width=64, attention_heads=4,
+                                                   feedforward_width=128)))
+        walk = np.random.default_rng(3).normal(size=(1, 831)).cumsum(axis=1)
+        series = MultivariateSeries("walk", walk)
+        split = DatasetSplit(train=(0, 0), validation=(0, 0), test=(0, 831))
+        reports = [evaluate(ckpt, series, split, [48, 96], 336, threads=threads)
+                   for threads in (1, 2, 3)]
+        assert [r.windows for r in reports[0].rows] == [448, 400]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_multi_horizon_matches_single_horizon_calls(self, tiny_ckpt, threads):

@@ -146,6 +146,15 @@ class TestBatchEqualsSoloAtModelWidth:
             solo, _, _, _ = _decode_batch(params, lookbacks[r:r + 1], 96)
             np.testing.assert_array_equal(batched[r], solo[0])
 
+    def test_rows_of_a_large_batch_match_one_row_decodes(self, params, rng):
+        # 224 rows of 7 tokens make GEMMs of 1568 rows, past the size where
+        # OpenBLAS switches stage 1's 64 -> 12 head to a kernel with other bits
+        lookbacks = rng.normal(size=(224, 336)).cumsum(axis=1)
+        batched, _, _, _ = _decode_batch(params, lookbacks, 48)
+        for r in range(224):
+            solo, _, _, _ = _decode_batch(params, lookbacks[r:r + 1], 48)
+            np.testing.assert_array_equal(batched[r], solo[0])
+
 
 class TestMultivariate:
     def test_duplicate_channel_identical_rows(self, tiny_params, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tokencast import autodiff, model
-from tokencast.autodiff import Tensor, backward, mse
+from tokencast.autodiff import Tensor, backward, max_pool_within_token, mse
 from tokencast.errors import ConfigError
 from tokencast.model import (
     ModelConfig,
@@ -15,7 +15,7 @@ from tokencast.model import (
     stage_forward,
 )
 
-from conftest import central_difference, relative_error
+from conftest import central_difference, relative_error, residual_chain
 
 TINY = ModelConfig(
     num_stages=2, pool_kernels=(2, 1), token_len=4, max_tokens=3,
@@ -174,31 +174,41 @@ class TestStageForward:
                           max_tokens=3, model_width=8, attention_heads=2,
                           feedforward_width=8, seed=1)
         params = init_model(cfg)
-        act = stage_forward(params, 0, Tensor(rng.normal(size=(3, 4))))
-        assert act.pooled.shape == (3, 1)
+        tokens = Tensor(rng.normal(size=(3, 4)))
+        assert max_pool_within_token(tokens, cfg.pool_kernels[0]).shape == (3, 1)
+        prediction = stage_forward(params, 0, tokens).values
         # one scalar per position, broadcast across the whole token
-        spread = act.prediction.values.max(axis=-1) - act.prediction.values.min(axis=-1)
+        spread = prediction.max(axis=-1) - prediction.min(axis=-1)
         np.testing.assert_allclose(spread, 0.0, atol=1e-12)
 
     def test_unit_kernel_identity_pool(self, rng):
         params = tiny_params()
         tokens = rng.normal(size=(3, 4))
-        act = stage_forward(params, 1, Tensor(tokens))  # stage 1 has k=1
-        np.testing.assert_array_equal(act.pooled.values, tokens)
+        k = params.config.pool_kernels[1]  # stage 1 has k=1
+        np.testing.assert_array_equal(max_pool_within_token(Tensor(tokens), k).values,
+                                      tokens)
 
     def test_causality_over_suffix_perturbations(self, rng):
         params = tiny_params()
         tokens = rng.normal(size=(3, 4))
-        base = stage_forward(params, 0, Tensor(tokens)).prediction.values
+        base = stage_forward(params, 0, Tensor(tokens)).values
         for j in range(1, 3):
             t2 = tokens.copy()
             t2[j:] += rng.normal(size=t2[j:].shape)
-            out = stage_forward(params, 0, Tensor(t2)).prediction.values
+            out = stage_forward(params, 0, Tensor(t2)).values
             np.testing.assert_array_equal(out[:j], base[:j])
 
     def test_context_overflow_rejected(self, rng):
         with pytest.raises(ConfigError, match="max context"):
             stage_forward(tiny_params(), 0, Tensor(rng.normal(size=(4, 4))))
+
+
+def assert_stages_ran_on(params, chain, out):
+    """Each stage, run alone on its rebuilt input, gives out.stages bit for bit."""
+    assert len(out.stages) == params.config.num_stages == len(chain) - 1
+    for i, prediction in enumerate(out.stages):
+        np.testing.assert_array_equal(
+            stage_forward(params, i, Tensor(chain[i])).values, prediction.values)
 
 
 class TestModelForward:
@@ -209,9 +219,9 @@ class TestModelForward:
         params = init_model(cfg)
         tokens = rng.normal(size=(3, 4))
         out = model_forward(params, tokens)
+        np.testing.assert_array_equal(out.prediction.values, out.stages[0].values)
         np.testing.assert_array_equal(
-            out.prediction.values, out.stages[0].prediction.values
-        )
+            out.prediction.values, stage_forward(params, 0, Tensor(tokens)).values)
 
     def test_zero_heads_zero_output_same_stage_inputs(self, rng):
         params = tiny_params()
@@ -220,26 +230,29 @@ class TestModelForward:
         tokens = rng.normal(size=(3, 4))
         out = model_forward(params, tokens)
         np.testing.assert_array_equal(out.prediction.values, np.zeros((3, 4)))
-        for act in out.stages:
-            np.testing.assert_array_equal(act.stage_input.values, tokens)
+        chain = residual_chain(tokens, out.stages)
+        assert_stages_ran_on(params, chain, out)
+        for stage_input in chain:
+            np.testing.assert_array_equal(stage_input, tokens)
 
     def test_first_token_invariant_across_stages(self, rng):
         params = tiny_params()
         tokens = rng.normal(size=(3, 4))
         out = model_forward(params, tokens)
-        for act in out.stages:
-            np.testing.assert_array_equal(act.stage_input.values[0], tokens[0])
-        np.testing.assert_array_equal(out.final_residual.values[0], tokens[0])
+        chain = residual_chain(tokens, out.stages)
+        assert_stages_ran_on(params, chain, out)
+        for stage_input in chain:  # every stage input, then the final residual
+            np.testing.assert_array_equal(stage_input[0], tokens[0])
 
     def test_residual_telescoping(self, rng):
         params = tiny_params()
         tokens = rng.normal(size=(3, 4))
         out = model_forward(params, tokens)
+        chain = residual_chain(tokens, out.stages)
+        assert_stages_ran_on(params, chain, out)
         shifted = np.zeros_like(tokens)
         shifted[1:] = out.prediction.values[:-1]
-        np.testing.assert_allclose(
-            tokens - shifted, out.final_residual.values, atol=1e-10
-        )
+        np.testing.assert_allclose(tokens - shifted, chain[-1], atol=1e-10)
 
     def test_full_model_causality_bit_exact(self, rng):
         params = tiny_params()

@@ -25,6 +25,8 @@ from tokencast.train import (
     pretrain,
 )
 
+from conftest import naive_baselines
+
 TINY_MODEL = ModelConfig(num_stages=2, pool_kernels=(2, 1), token_len=4, max_tokens=3,
                          model_width=6, layers_per_stage=1, attention_heads=2,
                          feedforward_width=8, seed=5)
@@ -134,8 +136,6 @@ class TestPretrain:
         assert len(history) == 1
 
     def test_sine_beats_persistence_on_validation(self):
-        from tokencast.evaluate import naive_baselines
-
         series = sine_series("s", 24, length=500, sigma=0.05)
         train = mixed_from([series], "train")
         val = mixed_from([series], "validation", ratios=(0.6, 0.2, 0.2))
