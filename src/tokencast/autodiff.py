@@ -190,48 +190,20 @@ def _max_lastdim(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sum_lastdim(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=-1, keepdims=True)``. Below 8 elements numpy adds them in
-    sequence from +0.0, so a fold of ``+`` over the last axis's slices from
-    +0.0 gives the same bits (a row of -0.0 sums to +0.0 in both), faster at
-    batch sizes. From 8 elements numpy sums pairwise, and its sum is kept."""
-    if x.shape[-1] >= 8:
-        return x.sum(axis=-1, keepdims=True)
-    out = x[..., :1] + 0.0
-    for j in range(1, x.shape[-1]):
-        out += x[..., j:j + 1]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
-
-# GEMM rows per block of linear's folded forward: 128 rows of 7 tokens
-_FOLD_ROWS = 896
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` of a (..., L, k) input by a shared (k, n)
     weight and an (n,) bias, as one node.
 
-    Forward folds the leading dimensions into the rows of 2-D GEMMs,
-    ``x.reshape(-1, k) @ w``, in blocks of whole rows of at most
-    ``_FOLD_ROWS`` GEMM rows, in place of a stacked product that makes one
-    small BLAS call per row. Up to that size a GEMM computes each output
-    entry the same way whatever its row count, so the fold gives the stacked
-    product's bits and a row's output does not depend on its batch. A larger
-    GEMM may run on another BLAS kernel with other last bits, as OpenBLAS's
-    64 -> 12 product does past about 1300 rows. The tests pin this at every
-    shape of the paper preset at width 64, for the BLAS they run on. It has
-    two exceptions, which keep the stacked ``x @ w``:
-
-    - a 1-token context (L == 1): there the stacked product is a
-      vector-matrix product per row, which BLAS computes on another path
-      than a GEMM. Folding would make a batched row differ in its last bits
-      from the same row decoded alone;
-    - a single row (every leading dimension 1): the product is already one
-      GEMM, and the reshapes would only cost time.
+    Forward is the stacked product ``x @ w``: one GEMM of L rows per leading
+    index, the same GEMM a row run alone makes, so a row's output does not
+    depend on its batch whatever the BLAS. Folding the leading dimensions
+    into one larger GEMM would save calls, but BLAS may compute a larger
+    GEMM on another kernel with other last bits.
 
     Backward folds every leading dimension of ``x`` into the rows of one GEMM
     per operand: the weight gradient is ``x.reshape(-1, k).T @ g.reshape(-1, n)``
@@ -246,15 +218,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear inner dimensions disagree: {sx} x {sw}")
     if b.values.shape != sw[1:]:
         raise ShapeError(f"linear bias must have shape ({sw[1]},), got {b.values.shape}")
-    if sx[-2] > 1 and math.prod(sx[:-2]) > 1:
-        folded = x.values.reshape(-1, sw[0])
-        out = np.empty((len(folded), sw[1]))
-        block = max(_FOLD_ROWS // sx[-2], 1) * sx[-2]  # whole rows of L tokens
-        for i in range(0, len(folded), block):
-            np.matmul(folded[i:i + block], w.values, out=out[i:i + block])
-        out = out.reshape(sx[:-1] + sw[1:])
-    else:
-        out = x.values @ w.values
+    out = x.values @ w.values
     out += b.values
 
     def bwd(g: np.ndarray) -> None:
@@ -281,16 +245,11 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     attention weight there and its gradient are exactly 0.0. Every query must
     keep at least one unmasked key.
 
-    When there is more than one row, the row maxima that shift the exp fold
-    ``np.maximum`` over the key slices (``_max_lastdim``), and the two sums
-    over the keys, the softmax's denominator and the backward's
-    ``(g_scores * attn)`` row sums, fold ``+`` over them (``_sum_lastdim``).
-    One row reduces directly, where the folds' extra calls would only cost
-    time. The heads' outputs are written straight into the merged
-    (..., L, d) array.
+    The row maxima that shift the exp fold ``np.maximum`` over the key slices
+    (``_max_lastdim``) when there is more than one row. One row reduces
+    directly, where the fold's extra calls would only cost time.
     """
     shape = q.values.shape
-    rows = math.prod(shape[:-2])
     split = shape[:-1] + (num_heads, shape[-1] // num_heads)
     scale = 1.0 / math.sqrt(split[-1])
     # (..., heads, L, head_dim) views
@@ -300,12 +259,11 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     attn = qh @ kh.swapaxes(-1, -2)
     attn *= scale
     np.copyto(attn, -np.inf, where=mask)
-    top = _max_lastdim(attn) if rows > 1 else attn.max(axis=-1)
+    top = _max_lastdim(attn) if math.prod(shape[:-2]) > 1 else attn.max(axis=-1)
     attn -= top[..., None]
     np.exp(attn, out=attn)
-    attn /= _sum_lastdim(attn) if rows > 1 else attn.sum(axis=-1, keepdims=True)
-    out = np.empty(shape)
-    np.matmul(attn, vh, out=out.reshape(split).swapaxes(-3, -2))
+    attn /= attn.sum(axis=-1, keepdims=True)
+    out = (attn @ vh).swapaxes(-3, -2).reshape(shape)
 
     def merge(gh: np.ndarray) -> np.ndarray:
         return gh.swapaxes(-3, -2).reshape(shape)
@@ -314,8 +272,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
         g_ctx = g.reshape(split).swapaxes(-3, -2)
         if q.requires_grad or k.requires_grad:
             g_scores = g_ctx @ vh.swapaxes(-1, -2)
-            dot = g_scores * attn
-            g_scores -= _sum_lastdim(dot) if rows > 1 else dot.sum(axis=-1, keepdims=True)
+            g_scores -= (g_scores * attn).sum(axis=-1, keepdims=True)
             g_scores *= attn
             g_scores *= scale
             if q.requires_grad:

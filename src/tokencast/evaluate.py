@@ -188,10 +188,8 @@ def evaluate(
     once per distinct decode length with the rows that need that length, and
     its forecast at H must be the first H points of its forecast at any longer
     horizon, as it is for auto-regressive decoding and for persistence.
-    Results are deterministic and row-independent (``_decode_batch`` says
-    how far that rests on the BLAS, which tests pin with a 448-origin report
-    at the paper preset), so ``threads`` only splits work: reports are
-    bit-identical at any count. ``threads`` is the number of
+    Results are deterministic and row-independent, so ``threads`` only splits
+    work: reports are bit-identical at any count. ``threads`` is the number of
     workers: this process decodes one share of the rows and, where the OS can
     fork, a forked child process decodes each other share on its own
     interpreter lock. A share whose child fails, dies or cannot be forked is

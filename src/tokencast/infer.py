@@ -43,17 +43,14 @@ def _decode_batch(params: ModelParams, lookbacks: np.ndarray, horizon: int,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Decode a (N, L) batch of univariate lookbacks to (N, horizon).
 
-    Rows are independent: every kernel is row-local, the statistics are
-    taken over a contiguous copy of each row, and ``linear`` folds rows into
-    GEMMs no larger than BLAS computes the same way as a one-row decode's, so
-    batched decoding is bit-identical to one-at-a-time decoding, at any batch
-    size and whatever the memory layout of ``lookbacks``. The GEMM part rests
-    on the BLAS: tests pin it at the paper preset, past 200 rows, on the BLAS
-    they run on. ``horizons`` gives each row its own horizon, non-increasing
-    down the rows and starting at ``horizon`` (every row's horizon is
-    ``horizon`` if it is omitted): a row retires from the batch once its own
-    horizon is decoded, so later steps run on a shrinking prefix of the rows,
-    and its output past its own horizon is NaN.
+    Rows are independent: every kernel is row-local, and the statistics are
+    taken over a contiguous copy of each row, so batched decoding is
+    bit-identical to one-at-a-time decoding at any batch size and whatever
+    the memory layout of ``lookbacks``. ``horizons`` gives each row its own
+    horizon, non-increasing down the rows and starting at ``horizon`` (every
+    row's horizon is ``horizon`` if it is omitted): a row retires from the
+    batch once its own horizon is decoded, so later steps run on a shrinking
+    prefix of the rows, and its output past its own horizon is NaN.
     The returned step count is the longest row's.
     """
     cfg = params.config

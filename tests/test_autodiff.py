@@ -257,8 +257,8 @@ class TestLinear:
     @pytest.mark.parametrize("tokens", [1, 2, 7])
     @pytest.mark.parametrize("k,n", [(64, 128), (128, 64)])
     def test_equals_stacked_product(self, rng, lead, tokens, k, n):
-        # at the model's widths, where the folded forward and the stacked
-        # product x @ w run on the GEMMs BLAS picks for these shapes
+        # at the model's widths, where the GEMMs BLAS picks differ from the
+        # small shapes above
         x0, w0, b0 = (rng.normal(size=lead + (tokens, k)), rng.normal(size=(k, n)),
                       rng.normal(size=n))
         g = rng.normal(size=lead + (tokens, n))
@@ -273,16 +273,17 @@ class TestLinear:
 
     @pytest.mark.parametrize("tokens", [2, 7])
     @pytest.mark.parametrize("k,n", PAPER_LINEAR_SHAPES)
-    def test_folded_forward_equals_stacked_product_at_batch_sizes(self, rng, k, n,
-                                                                   tokens):
-        # OpenBLAS leaves its small-matrix GEMM path once M * N * K passes about
-        # 10**6, and its other kernel changes the last bits at 64 -> 12; a batch
-        # that large, folded in several blocks, still gives each row's own bits
-        rows = max(10**6 // (tokens * k * n), 2 * autodiff._FOLD_ROWS // tokens) + 1
+    def test_rows_of_a_large_batch_equal_their_solo_products(self, rng, k, n, tokens):
+        # more than 10**6 / (N * K) GEMM rows and 200 batch rows: one GEMM of
+        # that many rows would leave OpenBLAS's small-matrix path, whose other
+        # kernel changes the last bits at 64 -> 12
+        rows = 10**6 // (tokens * k * n) + 200
         x0, w0, b0 = (rng.normal(size=(rows, tokens, k)), rng.normal(size=(k, n)),
                       rng.normal(size=n))
         out = linear(Tensor(x0), Tensor(w0), Tensor(b0))
-        np.testing.assert_array_equal(out.values, x0 @ w0 + b0)
+        for r in range(rows):
+            solo = linear(Tensor(x0[r:r + 1]), Tensor(w0), Tensor(b0))
+            assert out.values[r].tobytes() == solo.values[0].tobytes()
 
 
 def _old_attention_chain(q, k, v, num_heads, mask, g):
@@ -362,8 +363,8 @@ class TestCausalAttention:
     @pytest.mark.parametrize("keys", [7, 9])
     @pytest.mark.parametrize("lead", [(1,), (42,)], ids=str)
     def test_bytes_equal_old_chain_around_numpy_pairwise_sum(self, rng, lead, keys):
-        # the key-axis sums fold + below 8 keys and stay numpy's from 8, where
-        # numpy sums pairwise; bytes, so that a signed zero counts too
+        # numpy sums the keys in sequence below 8 and pairwise from 8; bytes,
+        # so that a signed zero counts too
         operands = [rng.normal(size=lead + (keys, 64)) for _ in range(3)]
         g = rng.normal(size=lead + (keys, 64))
         for x in (operands[2], g):

@@ -159,9 +159,10 @@ class TestEvaluate:
         assert a.rows == b.rows
 
     def test_paper_preset_report_past_the_blas_switch_equal_at_any_threads(self):
-        # 448 origins at H=48 and 400 at H=96: one worker decodes GEMMs of 3136
-        # rows and three of about 1050, on both sides of the size where
-        # OpenBLAS switches the 64 -> 12 head to a kernel with other bits
+        # 448 origins at H=48 and 400 at H=96: one worker decodes 448 rows and
+        # three about 150, whose 7-token rows folded into one GEMM would sit on
+        # both sides of the size where OpenBLAS switches the 64 -> 12 head to
+        # a kernel with other bits
         ckpt = from_params(init_model(paper_preset(model_width=64, attention_heads=4,
                                                    feedforward_width=128)))
         walk = np.random.default_rng(3).normal(size=(1, 831)).cumsum(axis=1)

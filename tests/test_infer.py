@@ -147,8 +147,9 @@ class TestBatchEqualsSoloAtModelWidth:
             np.testing.assert_array_equal(batched[r], solo[0])
 
     def test_rows_of_a_large_batch_match_one_row_decodes(self, params, rng):
-        # 224 rows of 7 tokens make GEMMs of 1568 rows, past the size where
-        # OpenBLAS switches stage 1's 64 -> 12 head to a kernel with other bits
+        # 224 rows of 7 tokens: one GEMM of their 1568 rows would be past the
+        # size where OpenBLAS switches stage 1's 64 -> 12 head to a kernel
+        # with other bits
         lookbacks = rng.normal(size=(224, 336)).cumsum(axis=1)
         batched, _, _, _ = _decode_batch(params, lookbacks, 48)
         for r in range(224):
