@@ -3,7 +3,8 @@
 Commands: pretrain, finetune, forecast, evaluate, synth, inspect.
 Exit codes: 0 on success. A ``TokencastError`` exits with the code its family
 carries, after one ``<label>: <message>`` line on stderr (the ``errors``
-module owns the mapping), and an ``OSError`` is reported as a data error (3).
+module owns the mapping). An ``OSError`` is reported as a data error (3), and
+a ``MemoryError`` as a config error (2), since a setting implies the size.
 Runs are reproducible: identical config, seed and inputs give identical output
 bytes at any --threads count.
 
@@ -234,6 +235,9 @@ def main(argv=None) -> int:
         error = exc
     except OSError as exc:
         error = DataError(exc)
+    except MemoryError as exc:
+        # a size that a setting implies outgrew the memory, as with MAX_ELEMENTS
+        error = ConfigError(f"out of memory: {exc}" if str(exc) else "out of memory")
     print(f"{error.label}: {error}", file=sys.stderr)
     return error.exit_code
 

@@ -10,14 +10,26 @@ de-normalize-then-score ordering the pipeline defines.
 
 The function that trains picks which arrays it updates: ``pretrain`` all of
 them, ``finetune_heads`` the forecast heads, or all of them with ``full_tune``.
+
+Every epoch ends with a forward-only validation pass, which picks the best
+arrays and decides early stopping. When its result cannot stop the run, and
+the process has a second CPU while BLAS is pinned to one thread, that pass
+runs on a second thread beside the next epoch (``_fit``). No setting turns
+this on or off, ``--threads`` included, and the outputs are byte-identical
+either way.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import io
 import math
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -125,6 +137,62 @@ def check_windows(config: ModelConfig, train_mixed: MixedDataset,
             raise ConfigError(f"no {role} windows: need segments of at least {span} points")
 
 
+# the variables that pin BLAS to one thread (README, CLI); BLAS reads them
+# once, when numpy loads
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _spare_core() -> bool:
+    """Whether a second core would otherwise sit idle during training: the
+    process may run on two CPUs or more, and BLAS is pinned to one thread
+    (one of ``_BLAS_THREAD_VARS`` is set, and each one set reads 1)."""
+    if not hasattr(os, "sched_getaffinity"):
+        return False
+    pins = [os.environ[name].strip() for name in _BLAS_THREAD_VARS if name in os.environ]
+    return len(os.sched_getaffinity(0)) >= 2 and set(pins) == {"1"}
+
+
+def _start_validation(config: ModelConfig, arrays: dict[str, np.ndarray],
+                      windows: np.ndarray, batch_size: int,
+                      overlap: bool) -> Callable[[], float]:
+    """Start the validation MSE of ``arrays`` and return the call that waits
+    for it.
+
+    With ``overlap`` the pass runs on a thread, in a copy of the caller's
+    context (so with its numpy error state), and the returned call joins that
+    thread. Without it, or if no thread can be started, the returned call runs
+    the pass itself. Either way that call returns the MSE or raises what the
+    pass raised.
+    """
+    params = ModelParams(config, {name: Tensor(v) for name, v in arrays.items()})
+    outcome: dict[str, Any] = {}
+
+    def run() -> None:
+        try:
+            outcome["val_mse"] = _mean_window_mse(params, windows, batch_size)
+        except BaseException as exc:  # raised again in the caller by wait()
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,),
+                              name="tokencast-validation")
+    if overlap:
+        try:
+            thread.start()
+        except RuntimeError:  # no thread to be had
+            pass
+
+    def wait() -> float:
+        if thread.ident is None:
+            run()
+        else:
+            thread.join()
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["val_mse"]
+
+    return wait
+
+
 def _fit(
     params: ModelParams,
     scope: str,
@@ -139,6 +207,18 @@ def _fit(
     arrays, epoch 0, if no epoch improves on them). Returns the per-epoch
     history and the checkpoint metadata of that choice: ``epoch``,
     ``best_val_mse``, ``seed`` and ``scope``.
+
+    Each epoch's arrays are validated as a copy, which Adam never writes and
+    which becomes the best arrays if the epoch improves. When the next epoch
+    runs whatever that validation reads (there is one, and it is epoch 0's
+    validation or one more stall would not reach ``patience``) and
+    ``_spare_core`` holds, the validation runs on a second thread while this
+    one trains the next epoch; otherwise it runs first, as a serial loop
+    would. The same arithmetic runs on the same values either way, so the
+    history, the arrays and the metadata are byte-identical. The thread is
+    joined before the bookkeeping and whenever training raises. Its error is
+    raised in preference to one from the epoch it overlapped, as the serial
+    loop would have hit it first.
     """
     cfg = params.config
     lookback_len = cfg.max_tokens * cfg.token_len
@@ -155,13 +235,8 @@ def _fit(
         t.zero_grad()
     states = {name: AdamState.for_param(t, train_config) for name, t in trainable.items()}
 
-    best_arrays = {n: t.values.copy() for n, t in params.arrays.items()}
-    best_val = _mean_window_mse(params, val_windows, train_config.batch_size)
-    best_epoch = 0
-    history: list[EpochStats] = []
-    stall = 0
-
-    for epoch in range(1, train_config.epochs + 1):
+    def train_epoch(epoch: int) -> float:
+        """One pass of Adam over the epoch's shuffled windows; their mean loss."""
         epoch_seed = train_config.seed * 1_000_003 + epoch
         windows = sample_windows(train_mixed, lookback_len, horizon_len,
                                  stride=train_config.stride, seed=epoch_seed)
@@ -188,19 +263,35 @@ def _fit(
                 for name, t in trainable.items():
                     adam_step(t, states[name])
             total += loss_value * len(batch)
+        return total / len(windows)
 
-        train_mse = total / len(windows)
-        val_mse = _mean_window_mse(params, val_windows, train_config.batch_size)
-        history.append(EpochStats(epoch=epoch, train_mse=train_mse, val_mse=val_mse))
-        if val_mse < best_val:
-            best_val = val_mse
-            best_epoch = epoch
-            best_arrays = {n: t.values.copy() for n, t in params.arrays.items()}
+    spare_core = _spare_core()
+    history: list[EpochStats] = []
+    stall = 0
+    epoch, train_mse, next_train_mse = 0, math.nan, math.nan
+    arrays = {n: t.values.copy() for n, t in params.arrays.items()}
+    while True:
+        overlap = (spare_core and epoch < train_config.epochs
+                   and (epoch == 0 or stall + 1 < train_config.patience))
+        wait = _start_validation(cfg, arrays, val_windows, train_config.batch_size,
+                                 overlap)
+        try:
+            if overlap:
+                next_train_mse = train_epoch(epoch + 1)
+        finally:
+            val_mse = wait()
+        if epoch == 0 or val_mse < best_val:
+            best_val, best_epoch, best_arrays = val_mse, epoch, arrays
             stall = 0
         else:
             stall += 1
-            if stall >= train_config.patience:
-                break
+        if epoch > 0:
+            history.append(EpochStats(epoch=epoch, train_mse=train_mse, val_mse=val_mse))
+        if epoch == train_config.epochs or stall >= train_config.patience:
+            break
+        epoch += 1
+        train_mse = next_train_mse if overlap else train_epoch(epoch)
+        arrays = {n: t.values.copy() for n, t in params.arrays.items()}
 
     for name, t in params.arrays.items():
         t.values = best_arrays[name]

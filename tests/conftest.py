@@ -1,5 +1,6 @@
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -119,3 +120,13 @@ def no_child_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    # training may validate an epoch on a second thread, which it joins
+    # before it returns or raises, so none may outlive its test
+    before = set(threading.enumerate())
+    yield
+    left = set(threading.enumerate()) - before
+    assert not left, f"threads left running: {sorted(t.name for t in left)}"

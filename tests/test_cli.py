@@ -4,6 +4,7 @@ import re
 import resource
 import subprocess
 import sys
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -371,6 +372,38 @@ class TestPretrainCommand:
         assert proc.returncode == 4
         assert proc.stderr == ("numeric abort: non-finite loss at epoch 1, batch 1, "
                                "learning rate 1e+200\n")
+
+    def test_memory_error_exits_2_with_one_line(self, tmp_path, synth_csv, capsys,
+                                                 monkeypatch):
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 727. MiB for an array with shape "
+                              "(248031, 384) and data type float64")
+
+        monkeypatch.setattr("tokencast.train.sample_windows", too_big)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["pretrain", str(write_train_cfg(tmp_path, synth_csv)), str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: out of memory: Unable to allocate 727. MiB for an array "
+            "with shape (248031, 384) and data type float64\n")
+        assert not out.exists()
+
+    def test_memory_error_on_the_validation_thread_exits_2(self, tmp_path, synth_csv,
+                                                           capsys, monkeypatch):
+        threads = []
+
+        def too_big(*args):
+            threads.append(threading.current_thread())
+            raise MemoryError()
+
+        monkeypatch.setattr("tokencast.train._spare_core", lambda: True)
+        monkeypatch.setattr("tokencast.train._mean_window_mse", too_big)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["pretrain", str(write_train_cfg(tmp_path, synth_csv)), str(out)]) == 2
+        assert capsys.readouterr().err == "config error: out of memory\n"
+        assert threads and threads[0] is not threading.current_thread()
+        assert not out.exists()
 
     def test_missing_dataset_exits_3(self, tmp_path):
         cfg = tmp_path / "run.cfg"

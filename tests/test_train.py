@@ -1,6 +1,12 @@
+import functools
+import os
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from tokencast import train
 from tokencast.autodiff import Tensor, adam_step, AdamState, backward
 from tokencast.checkpoint import serialize
 from tokencast.data import (
@@ -13,12 +19,14 @@ from tokencast.data import (
     sample_windows,
     synth_generate,
 )
-from tokencast.errors import ConfigError
+from tokencast.errors import ConfigError, NumericAbort
 from tokencast.model import ModelConfig, init_model, parameter_layout
 from tokencast.train import (
+    _BLAS_THREAD_VARS,
     EpochStats,
     TrainConfig,
     _batch_loss,
+    _spare_core,
     ar_loss,
     finetune_heads,
     loss_curve_to_csv,
@@ -278,3 +286,178 @@ class TestLossCurve:
         lines = text.strip().splitlines()
         assert lines[0] == "epoch,train_mse,val_mse"
         assert lines[1].startswith("1,0.5,0.6")
+
+
+class TestOverlappedValidation:
+    """An epoch's validation may run on a second thread beside the next
+    epoch; whether it does must change nothing but the time taken."""
+
+    SOURCE = sine_series("s", 24, length=300)
+    TARGET = sine_series("tgt", 48, length=300, seed=4)
+    # learning rate 0.3 stops every pretraining below early, at patience 1 or 2
+    EARLY_STOP = dict(epochs=8, learning_rate=0.3)
+
+    @staticmethod
+    def mixed_pair(series):
+        return (mixed_from([series], "train"),
+                mixed_from([series], "validation", ratios=(0.5, 0.3, 0.2)))
+
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def source_checkpoint(cls, dropout):
+        ckpt, _ = pretrain(replace(TINY_MODEL, dropout_rate=dropout),
+                           TrainConfig(epochs=2, stride=4, seed=1),
+                           *cls.mixed_pair(cls.SOURCE))
+        return ckpt
+
+    def fit(self, kind, dropout, **settings):
+        cfg = TrainConfig(batch_size=16, stride=4, seed=2, **settings)
+        if kind == "pretrain":
+            return pretrain(replace(TINY_MODEL, dropout_rate=dropout), cfg,
+                            *self.mixed_pair(self.SOURCE))
+        return finetune_heads(self.source_checkpoint(dropout), cfg,
+                              *self.mixed_pair(self.TARGET),
+                              full_tune=kind == "full_tune")
+
+    def spy(self, monkeypatch):
+        """Record, per validation pass, whether it ran off the calling thread."""
+        caller, off_caller = threading.get_ident(), []
+        real = train._mean_window_mse
+
+        def spying(*args):
+            off_caller.append(threading.get_ident() != caller)
+            return real(*args)
+
+        monkeypatch.setattr(train, "_mean_window_mse", spying)
+        return off_caller
+
+    @pytest.mark.parametrize("kind", ["pretrain", "finetune_heads", "full_tune"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("settings", [
+        dict(epochs=0), dict(epochs=1), dict(epochs=3),
+        dict(EARLY_STOP, patience=1), dict(EARLY_STOP, patience=2),
+    ], ids=["epochs0", "epochs1", "epochs3", "patience1", "patience2"])
+    def test_byte_identical_with_and_without_overlap(self, monkeypatch, kind, dropout,
+                                                     settings):
+        runs = []
+        for overlap in (True, False):
+            monkeypatch.setattr(train, "_spare_core", lambda: overlap)
+            ckpt, history = self.fit(kind, dropout, **settings)
+            runs.append((serialize(ckpt), loss_curve_to_csv(history), ckpt.metadata))
+        assert runs[0] == runs[1]
+        history_len = runs[0][1].count("\n") - 1
+        assert history_len <= settings["epochs"]
+        if kind == "pretrain" and "patience" in settings:
+            assert history_len < settings["epochs"], "the run did not stop early"
+
+    @pytest.mark.parametrize("kind", ["pretrain", "finetune_heads"])
+    def test_validation_reads_its_epoch_after_the_next_has_stepped(self, monkeypatch,
+                                                                   kind):
+        # each overlapped pass waits for an Adam step of the next epoch, so it
+        # must read a copy of its own epoch's arrays to match the serial run
+        caller, stepped = threading.get_ident(), threading.Event()
+        real_start, real_mse, real_step = (
+            train._start_validation, train._mean_window_mse, train.adam_step)
+
+        def start(*args):
+            stepped.clear()
+            return real_start(*args)
+
+        def late_mse(*args):
+            if threading.get_ident() != caller:
+                assert stepped.wait(30), "the next epoch never stepped"
+            return real_mse(*args)
+
+        def step(*args):
+            real_step(*args)
+            stepped.set()
+
+        serial = self.fit(kind, 0.0, **self.EARLY_STOP, patience=2)
+        monkeypatch.setattr(train, "_spare_core", lambda: True)
+        monkeypatch.setattr(train, "_start_validation", start)
+        monkeypatch.setattr(train, "_mean_window_mse", late_mse)
+        monkeypatch.setattr(train, "adam_step", step)
+        ckpt, history = self.fit(kind, 0.0, **self.EARLY_STOP, patience=2)
+        assert (serialize(ckpt), history) == (serialize(serial[0]), serial[1])
+
+    @pytest.mark.parametrize("settings, overlapped", [
+        # epochs 0..2 are validated beside the next epoch; the last has none
+        (dict(epochs=3), [True, True, True, False]),
+        # val MSE after epochs 1..4: 0.55, 0.50, 1.53, 1.07; epoch 3 makes
+        # one stall, so epoch 4's validation could stop the run and goes first
+        (dict(EARLY_STOP, patience=2), [True, True, True, True, False]),
+    ])
+    def test_validation_leaves_the_calling_thread_only_when_overlappable(
+            self, monkeypatch, settings, overlapped):
+        monkeypatch.setattr(train, "_spare_core", lambda: True)
+        off_caller = self.spy(monkeypatch)
+        self.fit("pretrain", 0.0, **settings)
+        assert off_caller == overlapped
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_serial_unless_the_gate_holds(self, monkeypatch, pinned):
+        for name in _BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        if pinned:  # the gate's other condition fails instead
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        off_caller = self.spy(monkeypatch)
+        self.fit("pretrain", 0.0, epochs=3)
+        assert off_caller == [False] * 4
+
+    def test_validates_on_the_caller_when_no_thread_starts(self, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        serial = self.fit("pretrain", 0.0, **self.EARLY_STOP, patience=2)
+        monkeypatch.setattr(train, "_spare_core", lambda: True)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        off_caller = self.spy(monkeypatch)
+        ckpt, history = self.fit("pretrain", 0.0, **self.EARLY_STOP, patience=2)
+        assert (serialize(ckpt), history) == (serialize(serial[0]), serial[1])
+        assert off_caller == [False] * 5
+
+    @pytest.mark.parametrize("env, cpus, expected", [
+        ({name: "1" for name in _BLAS_THREAD_VARS}, 2, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+        ({"OMP_NUM_THREADS": " 1"}, 4, True),
+        ({name: "1" for name in _BLAS_THREAD_VARS}, 1, False),
+        ({}, 2, False),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, False),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 2, False),
+        ({"MKL_NUM_THREADS": ""}, 2, False),
+    ])
+    def test_spare_core_gate(self, monkeypatch, env, cpus, expected):
+        for name in _BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert _spare_core() is expected
+
+    def test_gate_closed_without_affinity(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _spare_core() is False
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_validation_error_wins_over_a_numeric_abort(self, monkeypatch, overlap):
+        # the serial loop validates epoch 0 before epoch 1 can abort, so the
+        # validation's error is the one raised, wherever it ran
+        monkeypatch.setattr(train, "_spare_core", lambda: overlap)
+
+        def failing(*args):
+            raise RuntimeError("validation failed")
+
+        monkeypatch.setattr(train, "_mean_window_mse", failing)
+        with pytest.raises(RuntimeError, match="validation failed"):
+            self.fit("pretrain", 0.0, epochs=2, learning_rate=1e200)
+
+    def test_numeric_abort_in_an_overlapped_epoch_raises(self, monkeypatch):
+        monkeypatch.setattr(train, "_spare_core", lambda: True)
+        off_caller = self.spy(monkeypatch)
+        with pytest.raises(NumericAbort) as info:
+            self.fit("pretrain", 0.0, epochs=2, learning_rate=1e200)
+        assert info.value.epoch == 1
+        assert off_caller == [True]
