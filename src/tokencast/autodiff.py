@@ -19,15 +19,14 @@ Accumulation is ``t.grad + g``, a new array, and ``adam_step`` only reads
 ``param.grad``; a kernel or optimizer that wrote into a gradient would
 corrupt every array sharing it.
 
-A tape belongs to one logical thread. ``no_grad`` disables recording (used for
-validation and inference) for the calling thread only; every other thread
-keeps its own mode.
+An op records its backward closure exactly when one of its inputs has
+``requires_grad`` set; there is no other switch. Arrays are created frozen,
+and only training unfreezes the ones it updates (``train._fit``), so a
+forward over frozen arrays records nothing on any thread.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import math
 from dataclasses import dataclass
@@ -39,36 +38,12 @@ from scipy.special import erf
 from .errors import ConfigError, ShapeError
 
 
-# Tape-recording switch. A context variable, so each thread has its own: a
-# thread starts with recording on whatever other threads do.
-_RECORDING: contextvars.ContextVar[bool] = contextvars.ContextVar(
-    "tokencast_recording", default=True)
-
-
-class _GradMode:
-    """True while the calling thread records a tape. Read from outside the
-    module as ``_GRAD_ENABLED``: perfbench counts operations that leave
-    recording off."""
-
-    def __bool__(self) -> bool:
-        return _RECORDING.get()
-
-
-_GRAD_ENABLED = _GradMode()
+# perfbench's worker reads this after every operation and resets it; the
+# program never changes it
+_GRAD_ENABLED = True
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable tape recording in this thread inside the block (forward-only
-    evaluation); other threads keep their own mode."""
-    token = _RECORDING.set(False)
-    try:
-        yield
-    finally:
-        _RECORDING.reset(token)
 
 
 class Tensor:
@@ -114,14 +89,17 @@ def _node(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tenso
     out = object.__new__(Tensor)
     out.values = values
     out.grad = None
-    if _RECORDING.get() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward_fn = backward_fn
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward_fn = None
+    # a loop, not any() over a generator: this runs once per op, and the
+    # generator's setup would cost several times the check itself
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward_fn = backward_fn
+            return out
+    out.requires_grad = False
+    out._parents = ()
+    out._backward_fn = None
     return out
 
 
@@ -146,11 +124,14 @@ def backward(loss: Tensor) -> None:
 
     Repeated calls without zeroing the leaves add up. The tape behind ``loss``
     is released afterwards; a second backward over the same graph is an error.
+    So is a loss that records no tape, because no array it depends on
+    requires grad.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.values.shape}")
     if not loss.requires_grad:
-        return
+        raise ValueError("backward needs a loss that records a tape, but no array "
+                         "it depends on requires grad")
 
     topo: list[Tensor] = []
     seen: set[int] = set()

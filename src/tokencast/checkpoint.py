@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -60,9 +61,10 @@ def from_params(params: ModelParams, metadata: dict[str, str] | None = None) -> 
 
 
 def to_params(ckpt: Checkpoint) -> ModelParams:
-    """Materialize trainable parameters from a checkpoint."""
+    """Live parameters from a checkpoint: frozen copies of its arrays, which
+    training unfreezes (``train._fit``) and every other caller only reads."""
     return ModelParams(config=ckpt.config, arrays={
-        n: Tensor(v.copy(), requires_grad=True) for n, v in ckpt.arrays.items()})
+        n: Tensor(v.copy()) for n, v in ckpt.arrays.items()})
 
 
 def _encode_config_block(config: ModelConfig, metadata: dict[str, str]) -> bytes:
@@ -197,11 +199,16 @@ def deserialize(data: bytes) -> Checkpoint:
         name = r.text(name_len, "array name")
         if name in arrays:
             raise CheckpointFormatError(f"duplicate array name {name!r}")
+        scope_at = r.offset
         scope_code = r.unpack("<B", "scope code")
+        if scope_code > 1:
+            raise CheckpointFormatError(
+                f"array {name} has scope code {scope_code} at byte offset "
+                f"{scope_at}, expected 0 (non-head) or 1 (head)")
         rank = r.unpack("<B", "rank")
         shape = tuple(r.unpack("<I", f"dimension of {name}") for _ in range(rank))
-        n_values = int(np.prod(shape)) if shape else 1
-        raw = r.take(8 * n_values, f"values of {name}")
+        # an exact integer: a fixed-width product of u32 dimensions can wrap
+        raw = r.take(8 * math.prod(shape), f"values of {name}")
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         file_scope[name] = SCOPE_HEAD if scope_code == 1 else SCOPE_NON_HEAD
     if r.offset != len(data):

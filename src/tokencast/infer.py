@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor
 from .errors import MAX_ELEMENTS, ConfigError, DataError
 from .model import ModelParams, model_forward
 from .preprocess import denormalize, instance_normalize
@@ -75,14 +75,13 @@ def _decode_batch(params: ModelParams, lookbacks: np.ndarray, horizon: int,
         )
     row_steps = -(-horizons // t_len)
     decoded = np.full((rows, steps * t_len), np.nan)
-    with no_grad():
-        for s in range(steps):
-            n = int(np.count_nonzero(row_steps > s))  # rows still decoding
-            ctx = ctx[:n]
-            out = model_forward(params, Tensor(ctx))
-            next_token = out.prediction.values[..., -1:, :]
-            decoded[:n, s * t_len:(s + 1) * t_len] = next_token[..., 0, :]
-            ctx = np.concatenate([ctx, next_token], axis=-2)[:, -cfg.max_tokens:]
+    for s in range(steps):
+        n = int(np.count_nonzero(row_steps > s))  # rows still decoding
+        ctx = ctx[:n]
+        out = model_forward(params, Tensor(ctx))
+        next_token = out.prediction.values[..., -1:, :]
+        decoded[:n, s * t_len:(s + 1) * t_len] = next_token[..., 0, :]
+        ctx = np.concatenate([ctx, next_token], axis=-2)[:, -cfg.max_tokens:]
     decoded[np.arange(steps * t_len) >= horizons[:, None]] = np.nan
     return denormalize(decoded[:, :horizon], mu, scale), mu[..., 0], scale[..., 0], steps
 

@@ -184,7 +184,8 @@ def init_model(config: ModelConfig) -> ModelParams:
 
     Weight matrices use scaled-uniform init (bound 1/sqrt(fan_in), fan_in
     being the first dimension), biases start at zero, layer-norm gains at
-    one, position tables at normal(0, 0.02).
+    one, position tables at normal(0, 0.02). The arrays are frozen: a forward
+    over them records no tape until training unfreezes them (``train._fit``).
     """
     rng = np.random.default_rng(config.seed)
     arrays: dict[str, Tensor] = {}
@@ -197,7 +198,7 @@ def init_model(config: ModelConfig) -> ModelParams:
             values = np.ones(shape)
         else:
             values = np.zeros(shape)
-        arrays[name] = Tensor(values, requires_grad=True)
+        arrays[name] = Tensor(values)
     return ModelParams(config=config, arrays=arrays)
 
 

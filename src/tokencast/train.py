@@ -33,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from .autodiff import AdamState, Tensor, adam_step, add, backward, mse, mul, no_grad
+from .autodiff import AdamState, Tensor, adam_step, add, backward, mse, mul
 from .checkpoint import Checkpoint, from_params, to_params
 from .data import MixedDataset, sample_windows
 from .errors import ConfigError, NumericAbort
@@ -113,11 +113,10 @@ def _mean_window_mse(params: ModelParams, windows: np.ndarray,
     if not len(windows):
         return float("nan")
     total = 0.0
-    with no_grad():
-        for lo in range(0, len(windows), batch_size):
-            batch = windows[lo:lo + batch_size]
-            loss = float(_batch_loss(params, batch).values)
-            total += loss * len(batch)
+    for lo in range(0, len(windows), batch_size):
+        batch = windows[lo:lo + batch_size]
+        loss = float(_batch_loss(params, batch).values)
+        total += loss * len(batch)
     return total / len(windows)
 
 
@@ -203,10 +202,13 @@ def _fit(
     """Adam over the arrays of ``scope`` ("all" or "head") with
     validation-best early stopping.
 
-    Leaves ``params`` at the arrays with the best validation MSE (the initial
-    arrays, epoch 0, if no epoch improves on them). Returns the per-epoch
-    history and the checkpoint metadata of that choice: ``epoch``,
-    ``best_val_mse``, ``seed`` and ``scope``.
+    Sets ``requires_grad`` on exactly the arrays of ``scope``, so the
+    training step records a tape over them alone; each validation pass runs
+    over frozen copies and records none. Leaves ``params`` at the arrays with
+    the best validation MSE (the initial arrays, epoch 0, if no epoch
+    improves on them). Returns the per-epoch history and the checkpoint
+    metadata of that choice: ``epoch``, ``best_val_mse``, ``seed`` and
+    ``scope``.
 
     Each epoch's arrays are validated as a copy, which Adam never writes and
     which becomes the best arrays if the epoch improves. When the next epoch
@@ -228,8 +230,9 @@ def _fit(
                                  stride=train_config.stride, seed=0)
 
     trainable = params.trainable(scope)
-    # frozen arrays drop out of the tape entirely, which keeps head-only
-    # tuning cheap and guarantees their values and grads stay untouched
+    # the one place arrays are unfrozen: frozen arrays drop out of the tape
+    # entirely, which keeps head-only tuning cheap and guarantees their values
+    # and grads stay untouched
     for name, t in params.arrays.items():
         t.requires_grad = name in trainable
         t.zero_grad()

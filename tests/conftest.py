@@ -107,6 +107,21 @@ def serialize_with_config(ckpt, *extra_lines, **changes) -> bytes:
     return data[:8] + struct.pack("<Q", len(block)) + block + data[16 + length:]
 
 
+def serialize_with_record(ckpt, name, *, scope=None, dims=None) -> bytes:
+    """``ckpt`` serialized, then the record of array ``name`` given the scope
+    byte ``scope`` and the dimensions ``dims`` (u32 each, rank to match);
+    the record's values are left as they were written."""
+    data = serialize(ckpt)
+    encoded = name.encode()
+    at = data.index(struct.pack("<H", len(encoded)) + encoded) + 2 + len(encoded)
+    rank = data[at + 1]
+    head = bytes([data[at] if scope is None else scope])
+    if dims is None:
+        return data[:at] + head + data[at + 1:]
+    shape = struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+    return data[:at] + head + shape + data[at + 2 + 4 * rank:]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

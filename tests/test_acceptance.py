@@ -157,6 +157,8 @@ class TestCriterion1Gradients:
 
         # full auto-regressive loss of a sub-2k-parameter model
         params = init_model(TINY)
+        for t in params.arrays.values():  # unfrozen as training would
+            t.requires_grad = True
         n_params = count_parameters(params, "all")
         assert n_params <= 2000
         tokens = rng.uniform(-2, 2, (3, 4))

@@ -21,13 +21,12 @@ from tokencast.autodiff import (
     max_pool_within_token,
     mse,
     mul,
-    no_grad,
     shift_right,
     slice_rows,
     sub,
 )
 from tokencast.errors import ConfigError, ShapeError
-from tokencast.model import init_model, model_forward, paper_preset
+from tokencast.model import ModelConfig, init_model, model_forward, paper_preset
 from tokencast.train import TrainConfig
 
 from conftest import central_difference, check_gradient, relative_error
@@ -618,49 +617,82 @@ class TestBackward:
         np.testing.assert_allclose(y.grad, snapshot[1] + second, rtol=1e-12)
         np.testing.assert_allclose(x.grad, snapshot[0] + second, rtol=1e-12)
 
-    def test_no_grad_suppresses_tape(self):
-        x = Tensor(3.0, requires_grad=True)
-        with no_grad():
-            out = mul(x, x)
+    def test_records_only_over_an_array_that_requires_grad(self):
+        frozen, live = Tensor(3.0), Tensor(2.0, requires_grad=True)
+        out = mul(frozen, frozen)
         assert not out.requires_grad
-        assert out._backward_fn is None
+        assert out._backward_fn is None and out._parents == ()
+        out = mul(frozen, live)
+        assert out.requires_grad and out._backward_fn is not None
 
-    def test_no_grad_is_per_thread(self):
-        # more threads than cores and a short switch interval, so threads
-        # interleave inside and outside their no_grad blocks
-        x = Tensor(np.ones((3, 3)), requires_grad=True)
-        workers = 8
-        rounds = 300
-        errors: list[str] = []
-        start = threading.Barrier(workers + 1, timeout=30)
+    def test_loss_without_a_tape_is_refused(self):
+        x = Tensor(3.0)
+        with pytest.raises(ValueError, match="no array it depends on requires grad"):
+            backward(mul(x, x))
+        assert x.grad is None
 
-        def worker():
-            start.wait()
+    def test_forward_beside_training_matches_serial(self, rng):
+        # no switch is shared between threads: a forward over frozen arrays
+        # and a training loop over unfrozen ones each give what they give
+        # alone, however finely the two interleave
+        cfg = ModelConfig(num_stages=2, pool_kernels=(2, 1), token_len=4, max_tokens=3,
+                          model_width=6, layers_per_stage=1, attention_heads=2,
+                          feedforward_width=8, seed=7)
+        tokens = rng.normal(size=(5, 3, 4))
+        target = rng.normal(size=(5, 3, 4))
+        rounds = 40
+
+        def forward_only():
+            params = init_model(cfg)
+            outs = []
             for _ in range(rounds):
-                with no_grad():
-                    if mul(x, x).requires_grad:
-                        errors.append("recorded inside no_grad")
-                if not mul(x, x).requires_grad:
-                    errors.append("worker stopped recording outside no_grad")
+                pred = model_forward(params, tokens).prediction
+                outs.append((pred.requires_grad, pred.values.tobytes()))
+            return outs
+
+        def training():
+            params = init_model(cfg)
+            for t in params.arrays.values():  # unfrozen as training would
+                t.requires_grad = True
+            settings = TrainConfig(learning_rate=1e-2)
+            states = {n: AdamState.for_param(t, settings) for n, t in params.arrays.items()}
+            losses = []
+            for _ in range(rounds):
+                loss = mse(model_forward(params, tokens).prediction, target)
+                for t in params.arrays.values():
+                    t.zero_grad()
+                backward(loss)
+                for n, t in params.arrays.items():
+                    adam_step(t, states[n])
+                losses.append(loss.values.tobytes())
+            return losses, [t.values.tobytes() for t in params.arrays.values()]
+
+        serial = [forward_only(), training()]
+        results: list = [None, None]
+        start = threading.Barrier(2, timeout=30)
+
+        def run(i, fn):
+            start.wait()
+            try:
+                results[i] = fn()
+            except Exception as exc:  # compared, and so reported, below
+                results[i] = exc
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=worker) for _ in range(workers)]
+            threads = [threading.Thread(target=run, args=(i, fn))
+                       for i, fn in enumerate((forward_only, training))]
             for t in threads:
                 t.start()
-            start.wait()
-            while any(t.is_alive() for t in threads):
-                if not mul(x, x).requires_grad:
-                    errors.append("main thread stopped recording")
             for t in threads:
-                t.join(timeout=30)
+                t.join(timeout=60)
                 assert not t.is_alive()
         finally:
             sys.setswitchinterval(old)
-        assert errors == []
-        out = mul(x, x)
-        assert out.requires_grad and out._backward_fn is not None
+        assert not any(recorded for recorded, _ in serial[0])
+        assert results[0] == serial[0]
+        assert results[1] == serial[1]
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import struct
 from dataclasses import fields, replace
 
@@ -23,7 +24,7 @@ from tokencast.errors import (
 from tokencast.model import ModelConfig, init_model
 from tokencast.train import TrainConfig
 
-from conftest import serialize_with_config
+from conftest import serialize_with_config, serialize_with_record
 
 
 def small_checkpoint():
@@ -82,6 +83,24 @@ class TestFormatErrors:
         data = serialize(small_checkpoint())
         with pytest.raises(CheckpointFormatError, match="trailing"):
             deserialize(data + b"xx")
+
+    @pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**31, 2**31, 4)])
+    def test_dimensions_past_int64_read_as_truncated(self, dims):
+        # their product wraps in a fixed-width integer: to 0 for the second
+        data = serialize_with_record(small_checkpoint(), "stage0.embed.bias", dims=dims)
+        with pytest.raises(CheckpointFormatError,
+                           match=f"truncated checkpoint: needed {8 * math.prod(dims)} "
+                                 "bytes for values of stage0.embed.bias"):
+            deserialize(data)
+
+    @pytest.mark.parametrize("code", [2, 255])
+    def test_unknown_scope_code(self, code):
+        data = serialize_with_record(small_checkpoint(), "stage0.embed.bias", scope=code)
+        at = data.index(b"stage0.embed.bias") + len("stage0.embed.bias")
+        with pytest.raises(CheckpointFormatError,
+                           match=f"stage0.embed.bias has scope code {code} at byte "
+                                 rf"offset {at}, expected 0 \(non-head\) or 1 \(head\)"):
+            deserialize(data)
 
     def test_truncation_never_partial(self, tmp_path):
         path = tmp_path / "t.ckpt"

@@ -29,7 +29,7 @@ from tokencast.evaluate import EvalSettings
 from tokencast.model import ModelConfig, init_model, parameter_layout
 from tokencast.train import TrainConfig
 
-from conftest import serialize_with_config
+from conftest import serialize_with_config, serialize_with_record
 
 TINY_MODEL_SECTION = """\
 [model]
@@ -1170,6 +1170,18 @@ class TestCheckpointValidation:
         path = self.write_checkpoint(tmp_path, **{field: value})
         assert main(["inspect", str(path)]) == 3
         assert "invalid config block" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", [
+        dict(dims=(2**32 - 1, 2**32 - 1)), dict(dims=(2**31, 2**31, 4)), dict(scope=2),
+    ], ids=["dims-past-int64", "dims-wrapping-to-0", "scope-code-2"])
+    def test_malformed_array_record_exits_3_with_one_line(self, tmp_path, capsys, record):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(serialize_with_record(from_params(init_model(self.CONFIG)),
+                                               "stage0.embed.bias", **record))
+        capsys.readouterr()
+        assert main(["inspect", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "stage0.embed.bias" in err
 
     def test_directory_as_checkpoint_exits_3(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path)]) == 3

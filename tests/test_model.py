@@ -293,6 +293,8 @@ class TestModelForward:
 class TestFullModelGradients:
     def test_every_parameter_matches_finite_differences(self, rng):
         params = tiny_params()
+        for t in params.arrays.values():  # unfrozen as training would
+            t.requires_grad = True
         assert count_parameters(params, "all") <= 2000
         tokens = rng.normal(size=(3, 4))
         target = rng.normal(size=(3, 4))

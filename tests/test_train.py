@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tokencast import train
+from tokencast import autodiff, train
 from tokencast.autodiff import Tensor, adam_step, AdamState, backward
-from tokencast.checkpoint import serialize
+from tokencast.checkpoint import serialize, to_params
 from tokencast.data import (
     DatasetSplit,
     MultivariateSeries,
@@ -16,10 +16,13 @@ from tokencast.data import (
     SineComponent,
     SynthSpec,
     build_mixed_dataset,
+    chronological_split,
     sample_windows,
     synth_generate,
 )
 from tokencast.errors import ConfigError, NumericAbort
+from tokencast.evaluate import evaluate
+from tokencast.infer import ForecastRequest, ar_forecast
 from tokencast.model import ModelConfig, init_model, parameter_layout
 from tokencast.train import (
     _BLAS_THREAD_VARS,
@@ -174,6 +177,8 @@ class TestLossDescent:
 
     def test_single_step_decreases_batch_loss(self):
         params = init_model(TINY_MODEL)
+        for t in params.arrays.values():  # unfrozen as _fit would
+            t.requires_grad = True
         batch = self.fixture_batch()
         states = {n: AdamState.for_param(t, TrainConfig(learning_rate=1e-4))
                   for n, t in params.arrays.items()}
@@ -188,6 +193,8 @@ class TestLossDescent:
 
     def test_repeated_batch_monotone_after_warmup(self):
         params = init_model(TINY_MODEL)
+        for t in params.arrays.values():  # unfrozen as _fit would
+            t.requires_grad = True
         batch = self.fixture_batch()
         states = {n: AdamState.for_param(t, TrainConfig(learning_rate=3e-4))
                   for n, t in params.arrays.items()}
@@ -461,3 +468,67 @@ class TestOverlappedValidation:
             self.fit("pretrain", 0.0, epochs=2, learning_rate=1e200)
         assert info.value.epoch == 1
         assert off_caller == [True]
+
+
+class TestOnlyTrainingRecordsATape:
+    """``requires_grad`` alone decides whether an op records, and only
+    ``_fit`` sets it, on the arrays it trains."""
+
+    def pretrained(self):
+        series = sine_series("s", 24, length=300)
+        return pretrain(TINY_MODEL, TrainConfig(epochs=1, stride=4, seed=1),
+                        mixed_from([series], "train"),
+                        mixed_from([series], "validation", ratios=(0.5, 0.3, 0.2)))[0]
+
+    @staticmethod
+    def spy(monkeypatch, validating=lambda: False):
+        """Record, per node built, whether a validation pass was running and
+        whether the node recorded its backward closure. Kernels look ``_node``
+        up as a module global, so patching it sees every node."""
+        nodes, real = [], autodiff._node
+
+        def spying(values, parents, backward_fn):
+            out = real(values, parents, backward_fn)
+            nodes.append((validating(), out._backward_fn is not None))
+            return out
+
+        monkeypatch.setattr(autodiff, "_node", spying)
+        return nodes
+
+    def test_constructors_return_frozen_arrays(self):
+        for params in (init_model(TINY_MODEL), to_params(self.pretrained())):
+            assert not any(t.requires_grad for t in params.arrays.values())
+
+    def test_forecasting_and_evaluating_record_nothing(self, monkeypatch):
+        ckpt = self.pretrained()
+        series = sine_series("t", 48, length=300, seed=3)
+        nodes = self.spy(monkeypatch)
+        request = ForecastRequest(series.values[:, :20], horizon=9)
+        for params in (init_model(TINY_MODEL), to_params(ckpt)):
+            ar_forecast(params, request)
+        evaluate(ckpt, series, chronological_split(series, 0.6, 0.2, 0.2), [8],
+                 lookback_len=12, stride=2, threads=1)
+        assert nodes and not any(recorded for _, recorded in nodes)
+
+    def test_only_the_training_step_records(self, monkeypatch):
+        # serial, so a flag set around each validation pass marks its nodes
+        monkeypatch.setattr(train, "_spare_core", lambda: False)
+        in_validation = []
+        real_mse = train._mean_window_mse
+
+        def marked(*args):
+            in_validation.append(True)
+            try:
+                return real_mse(*args)
+            finally:
+                in_validation.pop()
+
+        monkeypatch.setattr(train, "_mean_window_mse", marked)
+        nodes = self.spy(monkeypatch, validating=lambda: bool(in_validation))
+        self.pretrained()
+        validation = [recorded for validating, recorded in nodes if validating]
+        training = [recorded for validating, recorded in nodes if not validating]
+        assert validation and not any(validation)
+        # a node over the input tokens alone, such as the first pooling,
+        # records nothing even in training
+        assert any(training)
