@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 from scipy.special import erf
@@ -157,8 +156,16 @@ def backward(loss: Tensor) -> None:
             interior.append(node)
     for node in interior:
         node._parents = ()
-        node._backward_fn = None
+        node._backward_fn = _released
         node.grad = None
+
+
+def _released(g: np.ndarray) -> None:
+    """The closure a walk leaves on each node whose tape it released, so a
+    later walk through that node fails instead of passing nothing back. A
+    walk calls its loss's closure first, so no leaf has changed by then."""
+    raise ValueError("backward over a released tape: an earlier backward "
+                     "walked this graph and released its tape")
 
 
 def _max_lastdim(x: np.ndarray) -> np.ndarray:
@@ -500,35 +507,35 @@ def mse(pred: Tensor, target) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+# Adam's moment decays and epsilon, at the values Kingma & Ba recommend
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Per-parameter Adam accumulator (bias-corrected update).
+    """Per-parameter Adam accumulator (bias-corrected update)."""
 
-    ``settings`` supplies ``learning_rate``, ``beta1``, ``beta2`` and
-    ``adam_eps``; ``train.TrainConfig`` declares them and their defaults.
-    """
-
-    settings: Any
     step: int
     first_moment: np.ndarray
     second_moment: np.ndarray
 
     @classmethod
-    def for_param(cls, param: Tensor, settings) -> "AdamState":
-        return cls(settings, 0, np.zeros_like(param.values), np.zeros_like(param.values))
+    def for_param(cls, param: Tensor) -> "AdamState":
+        return cls(0, np.zeros_like(param.values), np.zeros_like(param.values))
 
 
-def adam_step(param: Tensor, state: AdamState) -> None:
+def adam_step(param: Tensor, state: AdamState, learning_rate: float) -> None:
     """Apply one in-place Adam update from param.grad; increments state.step."""
     if param.grad is None:
         raise ValueError("adam_step requires param.grad; run backward first")
     g = param.grad
-    cfg = state.settings
     state.step += 1
-    state.first_moment *= cfg.beta1
-    state.first_moment += (1.0 - cfg.beta1) * g
-    state.second_moment *= cfg.beta2
-    state.second_moment += (1.0 - cfg.beta2) * (g * g)
-    m_hat = state.first_moment / (1.0 - cfg.beta1 ** state.step)
-    v_hat = state.second_moment / (1.0 - cfg.beta2 ** state.step)
-    param.values -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    state.first_moment *= _BETA1
+    state.first_moment += (1.0 - _BETA1) * g
+    state.second_moment *= _BETA2
+    state.second_moment += (1.0 - _BETA2) * (g * g)
+    m_hat = state.first_moment / (1.0 - _BETA1 ** state.step)
+    v_hat = state.second_moment / (1.0 - _BETA2 ** state.step)
+    param.values -= learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)

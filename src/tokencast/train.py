@@ -46,9 +46,6 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 64
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     stride: int = 1
     patience: int = 3
     seed: int = 0
@@ -61,11 +58,6 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
-            raise ConfigError(f"adam_eps must be positive and finite, got {self.adam_eps}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +102,6 @@ def _batch_loss(params: ModelParams, batch: np.ndarray,
 def _mean_window_mse(params: ModelParams, windows: np.ndarray,
                      batch_size: int) -> float:
     """Forward-only AR loss over window rows, element-weighted."""
-    if not len(windows):
-        return float("nan")
     total = 0.0
     for lo in range(0, len(windows), batch_size):
         batch = windows[lo:lo + batch_size]
@@ -136,9 +126,9 @@ def check_windows(config: ModelConfig, train_mixed: MixedDataset,
             raise ConfigError(f"no {role} windows: need segments of at least {span} points")
 
 
-# the variables that pin BLAS to one thread (README, CLI); BLAS reads them
-# once, when numpy loads
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the variables that pin numpy's BLAS, OpenBLAS, to one thread (README, CLI);
+# it reads them once, when numpy loads, and ignores MKL_NUM_THREADS
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _spare_core() -> bool:
@@ -236,7 +226,7 @@ def _fit(
     for name, t in params.arrays.items():
         t.requires_grad = name in trainable
         t.zero_grad()
-    states = {name: AdamState.for_param(t, train_config) for name, t in trainable.items()}
+    states = {name: AdamState.for_param(t) for name, t in trainable.items()}
 
     def train_epoch(epoch: int) -> float:
         """One pass of Adam over the epoch's shuffled windows; their mean loss."""
@@ -264,7 +254,7 @@ def _fit(
                     t.zero_grad()
                 backward(loss)
                 for name, t in trainable.items():
-                    adam_step(t, states[name])
+                    adam_step(t, states[name], train_config.learning_rate)
             total += loss_value * len(batch)
         return total / len(windows)
 

@@ -27,7 +27,6 @@ from tokencast.autodiff import (
 )
 from tokencast.errors import ConfigError, ShapeError
 from tokencast.model import ModelConfig, init_model, model_forward, paper_preset
-from tokencast.train import TrainConfig
 
 from conftest import central_difference, check_gradient, relative_error
 
@@ -607,7 +606,7 @@ class TestBackward:
         x_grad, y_grad = x.grad, y.grad
         snapshot = (x_grad.copy(), y_grad.copy())
         y_values = y.values.copy()
-        adam_step(x, AdamState.for_param(x, TrainConfig(learning_rate=0.1)))
+        adam_step(x, AdamState.for_param(x), 0.1)
         np.testing.assert_array_equal(y.grad, snapshot[1])
         backward(mse(add(x, y), target))
         np.testing.assert_array_equal(x_grad, snapshot[0])
@@ -630,6 +629,19 @@ class TestBackward:
         with pytest.raises(ValueError, match="no array it depends on requires grad"):
             backward(mul(x, x))
         assert x.grad is None
+
+    def test_second_backward_over_a_released_tape_is_refused(self):
+        x = Tensor(3.0, requires_grad=True)
+        loss = mul(x, x)
+        backward(loss)
+        x.zero_grad()
+        released = "an earlier backward walked this graph and released its tape"
+        with pytest.raises(ValueError, match=released):
+            backward(loss)
+        assert x.grad is None
+        # a released node inside a new graph passes nothing back either
+        with pytest.raises(ValueError, match=released):
+            backward(add(loss, x))
 
     def test_forward_beside_training_matches_serial(self, rng):
         # no switch is shared between threads: a forward over frozen arrays
@@ -654,8 +666,7 @@ class TestBackward:
             params = init_model(cfg)
             for t in params.arrays.values():  # unfrozen as training would
                 t.requires_grad = True
-            settings = TrainConfig(learning_rate=1e-2)
-            states = {n: AdamState.for_param(t, settings) for n, t in params.arrays.items()}
+            states = {n: AdamState.for_param(t) for n, t in params.arrays.items()}
             losses = []
             for _ in range(rounds):
                 loss = mse(model_forward(params, tokens).prediction, target)
@@ -663,7 +674,7 @@ class TestBackward:
                     t.zero_grad()
                 backward(loss)
                 for n, t in params.arrays.items():
-                    adam_step(t, states[n])
+                    adam_step(t, states[n], 1e-2)
                 losses.append(loss.values.tobytes())
             return losses, [t.values.tobytes() for t in params.arrays.values()]
 
@@ -738,8 +749,8 @@ class TestAdam:
     def test_zero_gradient_no_move(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.zeros(2)
-        state = AdamState.for_param(p, TrainConfig(learning_rate=0.1))
-        adam_step(p, state)
+        state = AdamState.for_param(p)
+        adam_step(p, state, 0.1)
         np.testing.assert_array_equal(p.values, [1.0, -2.0])
         assert state.step == 1
 
@@ -748,23 +759,35 @@ class TestAdam:
         # -lr * g / (|g| + eps) = -0.1 / (1 + 1e-8)
         p = Tensor(np.array([0.0]), requires_grad=True)
         p.grad = np.array([1.0])
-        adam_step(p, AdamState.for_param(p, TrainConfig(learning_rate=0.1)))
+        adam_step(p, AdamState.for_param(p), 0.1)
         assert p.values[0] == pytest.approx(-0.1 / (1.0 + 1e-8), rel=1e-12)
+
+    def test_second_step_closed_form(self):
+        # gradients 1 then 2 leave m = 0.9 * 0.1 + 0.1 * 2 = 0.29 and
+        # v = 0.999 * 1e-3 + 1e-3 * 4 = 4.999e-3, corrected by 1 - 0.9^2 and
+        # 1 - 0.999^2, so unlike the first step this one depends on both decays
+        p = Tensor(np.array([0.0]), requires_grad=True)
+        state = AdamState.for_param(p)
+        for g in (1.0, 2.0):
+            p.grad = np.array([g])
+            adam_step(p, state, 0.1)
+        second = 0.1 * (0.29 / 0.19) / (np.sqrt(4.999e-3 / 1.999e-3) + 1e-8)
+        assert p.values[0] == pytest.approx(-0.1 / (1.0 + 1e-8) - second, rel=1e-12)
 
     def test_missing_gradient_rejected(self):
         p = Tensor(np.zeros(2), requires_grad=True)
         with pytest.raises(ValueError, match="grad"):
-            adam_step(p, AdamState.for_param(p, TrainConfig()))
+            adam_step(p, AdamState.for_param(p), 1e-3)
 
     def test_deterministic(self, rng):
         runs = []
         for _ in range(2):
             r = np.random.default_rng(7)
             p = Tensor(r.normal(size=5), requires_grad=True)
-            state = AdamState.for_param(p, TrainConfig(learning_rate=0.01))
+            state = AdamState.for_param(p)
             for _ in range(10):
                 p.grad = p.values * 2.0
-                adam_step(p, state)
+                adam_step(p, state, 0.01)
                 p.zero_grad()
             runs.append(p.values.copy())
         np.testing.assert_array_equal(runs[0], runs[1])

@@ -178,7 +178,7 @@ REFUSED = {
     "model": (ModelConfig(), {"token_len": 0, "pool_kernels": (5, 1), "dropout_rate": 1.0,
                               "attention_heads": 3, "seed": -1}),
     "train": (TrainConfig(), {"batch_size": 0, "learning_rate": float("nan"),
-                              "beta2": 1.0}),
+                              "patience": 0}),
     "data": (DataSettings(), {"split": (0.5, 0.5)}),
     "synth": (SynthSpec(length=8, components=(NoiseComponent(1.0),)),
               {"length": 0, "components": (), "channels": -1}),
@@ -295,10 +295,14 @@ class TestPretrainCommand:
         "adam_eps = -1e-8", "adam_eps = inf", "learning_rate = nan", "learning_rate = inf",
     ])
     def test_bad_adam_setting_exits_2(self, tmp_path, synth_csv, capsys, setting):
+        # Adam's decays and epsilon are constants, so their keys are unknown
         cfg = write_train_cfg(tmp_path, synth_csv)
         cfg.write_text(cfg.read_text().replace("[train]\n", f"[train]\n{setting}\n"))
         assert main(["pretrain", str(cfg), str(tmp_path / "out")]) == 2
-        assert setting.split(" =")[0] in capsys.readouterr().err
+        key, value = setting.split(" = ")
+        expected = (f"learning_rate must be positive and finite, got {float(value)}"
+                    if key == "learning_rate" else f"unknown key {key!r} in section [train]")
+        assert capsys.readouterr().err == f"config error: {expected}\n"
 
     @pytest.mark.parametrize("section,key", [
         (section, key) for section, cls in (("model", ModelConfig), ("train", TrainConfig),
@@ -426,17 +430,17 @@ SWEEP_SYNTH = ("[synth]\nname = s\nlength = 50\nchannels = 2\n"
                "components = sine(period=10) + noise(sigma=0.1)\nseed = 1\n")
 
 
-def command_run(command, tmp_path, synth_csv, pretrained, scope=None):
+def command_run(command, tmp_path, synth_csv, pretrained, train_line=None):
     """(arguments before the config, config path) of ``command`` on synth_csv;
     "full-tune" is finetune --full-tune and "few-shot" is evaluate under the
-    few-shot protocol. A ``scope`` is written as the [train] scope key."""
+    few-shot protocol. A ``train_line`` is written first in [train]."""
     head = {"pretrain": ["pretrain"], "finetune": ["finetune", str(pretrained)],
             "full-tune": ["finetune", "--full-tune", str(pretrained)],
             "few-shot": ["evaluate", str(pretrained)]}[command]
     cfg = write_train_cfg(tmp_path, synth_csv,
                           extra=FEW_SHOT_EVAL if command == "few-shot" else "")
-    if scope is not None:
-        cfg.write_text(cfg.read_text().replace("[train]\n", f"[train]\nscope = {scope}\n"))
+    if train_line is not None:
+        cfg.write_text(cfg.read_text().replace("[train]\n", f"[train]\n{train_line}\n"))
     return head, cfg
 
 
@@ -456,7 +460,8 @@ class TestResolvedConfig:
 
 
 class TestTrainedScope:
-    # the command picks the trained scope, so [train] has no scope key, and a
+    # the command picks the trained scope and Adam's decays and epsilon are
+    # constants, so [train] has no scope, beta1, beta2 or adam_eps key, and a
     # resolved.cfg that still carries one is refused before any work
     @pytest.mark.parametrize("command,scope", [
         ("pretrain", "head"), ("finetune", "bogus"), ("full-tune", "head"),
@@ -464,11 +469,23 @@ class TestTrainedScope:
     ])
     def test_disagreeing_scope_key_exits_2(self, tmp_path, synth_csv, pretrained, capsys,
                                            command, scope):
-        head, cfg = command_run(command, tmp_path, synth_csv, pretrained, scope)
+        head, cfg = command_run(command, tmp_path, synth_csv, pretrained, f"scope = {scope}")
         capsys.readouterr()
         assert main(head + [str(cfg), str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err == "config error: unknown key 'scope' in section [train]\n"
+
+    @pytest.mark.parametrize("key,value", [
+        ("beta1", "0.9"), ("beta2", "0.999"), ("adam_eps", "1e-8")])
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "few-shot"])
+    def test_removed_adam_key_exits_2(self, tmp_path, synth_csv, pretrained, capsys,
+                                      command, key, value):
+        head, cfg = command_run(command, tmp_path, synth_csv, pretrained, f"{key} = {value}")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(head + [str(cfg), str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: unknown key {key!r} in section [train]\n"
+        assert not out.exists()
 
 
 class TestRejectedRun:
